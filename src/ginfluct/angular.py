@@ -273,10 +273,8 @@ def kernel_c_apply_at_zero(ell: int, phi: ConvolvedStatistic) -> complex:
 # exact covariance: the Fourier double sum, evaluated per diagonal
 # ---------------------------------------------------------------------------
 
-def _diagonal_sums(n: int, dmax: int) -> np.ndarray:
+def _sums_through(n: int, dmax: int) -> np.ndarray:
     """C_d = sum_{l=0}^{n-1-d} Gamma(l+d/2+1)^2/((l+d)! l!) for d = 0..dmax."""
-    if dmax >= n // 2:
-        return _row_sums(n)[: dmax + 1]
     lgf, lgh = _tables(2 * n)
     out = np.empty(dmax + 1)
     for d in range(dmax + 1):
@@ -285,15 +283,17 @@ def _diagonal_sums(n: int, dmax: int) -> np.ndarray:
     return out
 
 
+def _diagonal_sums(n: int, dmax: int) -> np.ndarray:
+    """C_0..C_dmax, from the cached full row once dmax reaches n/2."""
+    if dmax >= n // 2:
+        return _row_sums(n)[: dmax + 1]
+    return _sums_through(n, dmax)
+
+
 @lru_cache(maxsize=4)
 def _row_sums(n: int) -> np.ndarray:
     """All diagonal sums C_0..C_{n-1}; O(n^2) once, cached per n."""
-    lgf, lgh = _tables(2 * n)
-    out = np.empty(n)
-    for d in range(n):
-        l = np.arange(0, n - d)
-        out[d] = np.exp(2.0 * lgh[2 * l + d] - lgf[l + d] - lgf[l]).sum()
-    return out
+    return _sums_through(n, n - 1)
 
 
 def _finite_or_raise(x, what: str) -> float:

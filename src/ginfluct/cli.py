@@ -325,8 +325,8 @@ def cmd_asymptotics(args) -> tuple[dict, dict]:
 
 def cmd_cumulants(args) -> tuple[dict, dict]:
     from .dpp import (clt_certificate, cumulants_from_gram,
-                      cumulants_permanental, gram_annulus, gram_sector,
-                      quaternion_radial_probabilities)
+                      cumulants_permanental, gram_annulus, gram_sector)
+    from .radial import Ensemble, count_probabilities
 
     if args.mode in ("annulus", "quaternion-annulus"):
         a, b = _floats(args.window, 2, "modulus")
@@ -335,7 +335,7 @@ def cmd_cumulants(args) -> tuple[dict, dict]:
         if args.mode == "annulus":
             cs = cumulants_from_gram(gram_annulus(args.n, a, b), args.n_max)
         else:
-            p = quaternion_radial_probabilities(args.n, a, b)
+            p = count_probabilities(args.n, a, b, Ensemble.QUATERNION)
             cs = cumulants_permanental(p, args.n_max)
     elif args.mode == "sector":
         arc = _arc_from_args(args)
@@ -578,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=cmd_asymptotics)
 
-    cum = sub.add_parser("cumulants", help="count cumulants via operator traces")
+    cum = sub.add_parser("cumulants", help="count cumulants over the region operator's spectrum")
     cum.add_argument("--mode", choices=("annulus", "sector", "quaternion-annulus"),
                      required=True)
     cum.add_argument("--n", type=int, required=True)

@@ -2,16 +2,19 @@
 
 Restricting the planar kernel to a region A gives a self-adjoint operator
 with spectrum in [0, 1]; the count in A is then a sum of independent
-Bernoulli(p_j) over its eigenvalues p_j.  For annuli the Gram matrix in the
-monomial basis is diagonal (incomplete-gamma entries); for sectors it is a
-Hermitian matrix with closed-form entries.  Cumulants of the count follow
-from traces of operator powers via the Stirling-number inversion
+Bernoulli(p_j) over its eigenvalues p_j (Hough-Krishnapur-Peres-Virag).
+For annuli the Gram matrix in the monomial basis is diagonal
+(incomplete-gamma entries, read off as the p_j); for sectors it is a
+Hermitian matrix with closed-form entries, diagonalized once.  Count
+cumulants are sums of per-eigenvalue Bernoulli cumulants,
 
-    U_k = (-1)^{k-1} (k-1)! Tr(G^k),   C_n = sum_k S(n,k) U_k,
+    C_n = sum_j kappa_n(p_j),   kappa_{n+1} = p(1-p) d kappa_n/dp,
 
-which doubles as an independent cross-check of the exact covariance modules.
-The same formulas with plain probability sequences (sum p^k in place of
-traces) cover the quaternion radial counts, whose moduli are independent.
+each evaluated as (1-2p)^[n odd] P_n(v) with v = p(1-p) and integer
+polynomials P_n, so no high-order cancellation enters.  The route doubles
+as an independent cross-check of the exact covariance modules.  The same
+engine with plain probability sequences covers the quaternion radial
+counts, whose moduli are independent.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import ArcWindow, _tables
-from .specfun import gamma_interval_prob, stirling2
+from .specfun import gamma_interval_prob
 
 __all__ = [
     "GramOperator",
@@ -30,7 +33,6 @@ __all__ = [
     "CltReport",
     "gram_annulus",
     "gram_sector",
-    "quaternion_radial_probabilities",
     "cumulants_from_gram",
     "cumulants_permanental",
     "clt_certificate",
@@ -44,50 +46,29 @@ class GramOperator:
     """Region-restricted projection in the monomial basis."""
 
     n: int
-    structure: str                      # "diagonal" | "sector" | "dense"
+    structure: str                      # "diagonal" | "sector"
     diag: np.ndarray | None = None      # real probabilities, diagonal case
-    matrix: np.ndarray | None = None    # Hermitian, dense cases
+    matrix: np.ndarray | None = None    # Hermitian, sector case
 
     def __post_init__(self) -> None:
         if self.structure == "diagonal":
             if self.diag is None or len(self.diag) != self.n:
                 raise ValueError("diagonal operator needs a length-N diag")
-        else:
+        elif self.structure == "sector":
             if self.matrix is None or self.matrix.shape != (self.n, self.n):
-                raise ValueError("dense operator needs an N x N matrix")
+                raise ValueError("sector operator needs an N x N matrix")
+        else:
+            raise ValueError(f"unknown structure {self.structure!r}")
 
     def trace(self) -> float:
         if self.structure == "diagonal":
             return float(np.sum(self.diag))
         return math.fsum(np.diagonal(self.matrix).real)
 
-    def trace_powers(self, kmax: int) -> list[float]:
-        """[Tr G, Tr G^2, ..., Tr G^kmax]."""
-        if self.structure == "diagonal":
-            return _diag_trace_powers(self.diag, kmax)
-        out = []
-        power = None
-        g = self.matrix
-        for _ in range(kmax):
-            power = g if power is None else power @ g
-            power = 0.5 * (power + power.conj().T)
-            out.append(math.fsum(np.diagonal(power).real))
-        return out
-
     def eigenvalues(self) -> np.ndarray:
         if self.structure == "diagonal":
             return np.sort(np.asarray(self.diag, dtype=float))
         return np.linalg.eigvalsh(self.matrix)
-
-
-def _diag_trace_powers(p: np.ndarray, kmax: int) -> list[float]:
-    p = np.asarray(p, dtype=float)
-    out = []
-    power = np.ones_like(p)
-    for _ in range(kmax):
-        power = power * p
-        out.append(float(np.sum(power)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -143,27 +124,36 @@ def gram_sector(n: int, arc: ArcWindow) -> GramOperator:
     return GramOperator(n=n, structure="sector", matrix=radial * wmat)
 
 
-def quaternion_radial_probabilities(n: int, a: float, b: float) -> np.ndarray:
-    """Occupation probabilities for the quaternion radial count (independent)."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    if not (0.0 <= a <= b):
-        raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
-    s_lo = 2.0 * n * a * a
-    s_hi = 2.0 * n * b * b if math.isfinite(b) else math.inf
-    return np.array([gamma_interval_prob(2 * k, s_lo, s_hi) for k in range(1, n + 1)])
-
-
 # ---------------------------------------------------------------------------
 # cumulants
 # ---------------------------------------------------------------------------
 
-def _cumulants_from_traces(traces: list[float], n_max: int) -> CumulantSet:
-    u = tuple((-1.0) ** (k - 1) * math.factorial(k - 1) * traces[k - 1]
-              for k in range(1, n_max + 1))
-    c = tuple(math.fsum(stirling2(nn, k) * u[k - 1] for k in range(1, nn + 1))
-              for nn in range(1, n_max + 1))
-    return CumulantSet(n_max=n_max, u=u, c=c)
+def _bernoulli_cumulant_polys(n_max: int) -> dict[int, tuple[int, ...]]:
+    """Coefficients (lowest degree first) of P_2..P_nmax, where the n-th
+    cumulant of Bernoulli(p) is (1-2p)^[n odd] P_n(v), v = p(1-p).
+
+    From kappa_{n+1} = v d kappa_n/dp with dv/dp = 1-2p, (1-2p)^2 = 1-4v:
+    P_{n+1} = v P_n' for even n and v (1-4v) P_n' - 2v P_n for odd n.
+    """
+    polys = {2: (0, 1)}
+    for nn in range(2, n_max):
+        c = polys[nn]
+        dc = [k * c[k] for k in range(1, len(c))]       # P_n'
+        nxt = [0] + dc + [0]                             # v P_n'
+        if nn % 2:
+            for k, d in enumerate(dc):
+                nxt[k + 2] -= 4 * d
+            for k, ck in enumerate(c):
+                nxt[k + 1] -= 2 * ck
+        while nxt[-1] == 0:
+            nxt.pop()
+        polys[nn + 1] = tuple(nxt)
+    return polys
+
+
+_POLYS = _bernoulli_cumulant_polys(MAX_ORDER)
+_BOUND_FACTORS = (1, 7, 49, 391, 3601, 37927, 451249, 5995591, 88073041,
+                  1418137447, 24846302449)
 
 
 def cumulants_from_gram(g: GramOperator, n_max: int) -> CumulantSet:
@@ -171,9 +161,9 @@ def cumulants_from_gram(g: GramOperator, n_max: int) -> CumulantSet:
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
     if g.structure == "diagonal":
-        # identical code path (and summation order) as the permanental route
         return cumulants_permanental(g.diag, n_max)
-    return _cumulants_from_traces(g.trace_powers(n_max), n_max)
+    # a compression of a projection: the spectrum lies in [0, 1] up to rounding
+    return cumulants_permanental(np.clip(g.eigenvalues(), 0.0, 1.0), n_max)
 
 
 def cumulants_permanental(p, n_max: int) -> CumulantSet:
@@ -185,14 +175,26 @@ def cumulants_permanental(p, n_max: int) -> CumulantSet:
         raise ValueError("p must be a nonempty 1-d probability sequence")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    return _cumulants_from_traces(_diag_trace_powers(p, n_max), n_max)
+    v = p * (1.0 - p)
+    skew = 1.0 - 2.0 * p
+    c = [math.fsum(p)]
+    for nn in range(2, n_max + 1):
+        acc = np.polyval(_POLYS[nn][::-1], v)
+        c.append(math.fsum(skew * acc if nn % 2 else acc))
+    u = []
+    power = np.ones_like(p)
+    for k in range(1, n_max + 1):
+        power = power * p
+        u.append((-1.0) ** (k - 1) * math.factorial(k - 1) * math.fsum(power))
+    return CumulantSet(n_max=n_max, u=tuple(u), c=tuple(c))
 
 
 def cumulant_bound_factor(n: int) -> float:
     """B_n with |C_n| <= B_n * C_2 for any Bernoulli-sum count, from the
     Stirling expansion: B_n = sum_{k=2}^n S(n,k) (k-1)! (k-1)."""
-    return float(sum(stirling2(n, k) * math.factorial(k - 1) * (k - 1)
-                     for k in range(2, n + 1)))
+    if not 2 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in 2..{MAX_ORDER}, got {n}")
+    return float(_BOUND_FACTORS[n - 2])
 
 
 @dataclass(frozen=True)

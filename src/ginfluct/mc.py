@@ -142,8 +142,7 @@ def sample_radial_moduli(n: int, ens: Ensemble, rng: RngStream,
     return np.sqrt(s / scale)
 
 
-def sample_ginibre_eigenvalues(n: int, rng: RngStream, size: int | None = None,
-                               backend: str = "lapack") -> np.ndarray:
+def sample_ginibre_eigenvalues(n: int, rng: RngStream, size: int | None = None) -> np.ndarray:
     """Eigenvalues of matrices with iid complex Gaussian entries, E|A_ij|^2 = 1/N."""
     if not 1 <= n <= MAX_MATRIX_N:
         raise ValueError(f"N must be in 1..{MAX_MATRIX_N}")
@@ -154,7 +153,7 @@ def sample_ginibre_eigenvalues(n: int, rng: RngStream, size: int | None = None,
     for r in range(reps):
         z = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
         try:
-            out[r] = eig_dense(sig * z, backend=backend)
+            out[r] = eig_dense(sig * z)
         except RuntimeError as exc:
             raise RuntimeError(
                 f"eigensolver failure at replica {r} "
@@ -163,119 +162,15 @@ def sample_ginibre_eigenvalues(n: int, rng: RngStream, size: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# dense eigensolver: Hessenberg + implicitly shifted QR, with a LAPACK
-# backend behind the same accuracy contract
+# dense eigensolver: LAPACK behind an accuracy contract
 # ---------------------------------------------------------------------------
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    h = np.array(a, dtype=complex)
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        alpha = -norm_x if x[0] == 0 else -x[0] / abs(x[0]) * norm_x
-        v = x.copy()
-        v[0] -= alpha
-        norm_v = np.linalg.norm(v)
-        if norm_v < 1e-300:
-            continue
-        v /= norm_v
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-    return h
-
-
-def _eig_2x2(a, b, c, d) -> tuple[complex, complex]:
-    half_tr = 0.5 * (a + d)
-    disc = np.sqrt(half_tr * half_tr - (a * d - b * c))
-    return half_tr + disc, half_tr - disc
-
-
-def _qr_eigenvalues(h: np.ndarray, max_sweeps: int) -> np.ndarray:
-    n = h.shape[0]
-    h = h.copy()
-    eigs = np.empty(n, dtype=complex)
-    found = 0
-    hi = n - 1
-    sweeps = 0
-    stagnant = 0
-    eps = np.finfo(float).eps
-    while hi >= 0:
-        # deflate tiny subdiagonals in the active block
-        for k in range(hi, 0, -1):
-            if abs(h[k, k - 1]) <= eps * (abs(h[k - 1, k - 1]) + abs(h[k, k])):
-                h[k, k - 1] = 0.0
-        if hi == 0 or h[hi, hi - 1] == 0.0:
-            eigs[found] = h[hi, hi]
-            found += 1
-            hi -= 1
-            stagnant = 0
-            continue
-        if hi == 1 or h[hi - 1, hi - 2] == 0.0:
-            lo = hi - 1
-            lam1, lam2 = _eig_2x2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            eigs[found] = lam1
-            eigs[found + 1] = lam2
-            found += 2
-            hi = lo - 1
-            stagnant = 0
-            continue
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        if sweeps >= max_sweeps:
-            raise RuntimeError(f"no convergence after {max_sweeps} QR sweeps")
-        sweeps += 1
-        stagnant += 1
-        if stagnant % 12 == 0:
-            # exceptional shift: breaks symmetric stagnation (e.g. unitary blocks)
-            shift = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])
-        else:
-            # Wilkinson shift: trailing 2x2 eigenvalue closest to the corner
-            lam1, lam2 = _eig_2x2(h[hi - 1, hi - 1], h[hi - 1, hi],
-                                  h[hi, hi - 1], h[hi, hi])
-            shift = lam1 if abs(lam1 - h[hi, hi]) <= abs(lam2 - h[hi, hi]) else lam2
-        _qr_sweep(h, lo, hi, shift)
-    return eigs
-
-
-def _qr_sweep(h: np.ndarray, lo: int, hi: int, shift: complex) -> None:
-    """One explicit shifted QR pass on the Hessenberg block lo..hi, in place."""
-    m = hi - lo + 1
-    rot = np.empty((m - 1, 2), dtype=complex)
-    for k in range(lo, hi + 1):
-        h[k, k] -= shift
-    for k in range(lo, hi):
-        a, b = h[k, k], h[k + 1, k]
-        r = math.hypot(abs(a), abs(b))
-        if r == 0.0:
-            rot[k - lo] = (1.0, 0.0)
-            continue
-        ca, cb = np.conj(a) / r, np.conj(b) / r
-        rot[k - lo] = (ca, cb)
-        rk = h[k, k:hi + 1].copy()
-        rk1 = h[k + 1, k:hi + 1].copy()
-        h[k, k:hi + 1] = ca * rk + cb * rk1
-        h[k + 1, k:hi + 1] = -np.conj(cb) * rk + np.conj(ca) * rk1
-    for k in range(lo, hi):
-        ca, cb = rot[k - lo]
-        rows = slice(lo, min(k + 2, hi) + 1)
-        ck = h[rows, k].copy()
-        ck1 = h[rows, k + 1].copy()
-        h[rows, k] = np.conj(ca) * ck + np.conj(cb) * ck1
-        h[rows, k + 1] = -cb * ck + ca * ck1
-    for k in range(lo, hi + 1):
-        h[k, k] += shift
-
-
-def eig_dense(a: np.ndarray, backend: str = "lapack") -> np.ndarray:
+def eig_dense(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense square matrix.
 
-    Both backends sit behind the same accuracy contract, checked on every
-    call: the eigenvalue sum must match the trace and the sum of squares the
-    trace of A^2, to 1e-10*|A|_F*N and 1e-8*|A^2|_F*N respectively.
+    The LAPACK result is checked on every call against an accuracy
+    contract: the eigenvalue sum must match the trace and the sum of squares
+    the trace of A^2, to 1e-10*|A|_F*N and 1e-8*|A^2|_F*N respectively.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -288,15 +183,7 @@ def eig_dense(a: np.ndarray, backend: str = "lapack") -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if n == 0:
         return np.empty(0, dtype=complex)
-    if backend == "lapack":
-        lam = np.linalg.eigvals(a)
-    elif backend == "qr":
-        if n == 1:
-            lam = np.array([complex(a[0, 0])])
-        else:
-            lam = _qr_eigenvalues(_hessenberg(a), max_sweeps=30 * n)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    lam = np.linalg.eigvals(a)
 
     a2 = a_c @ a_c
     norm_a = np.linalg.norm(a_c)

@@ -20,7 +20,6 @@ __all__ = [
     "regularized_gamma_lower",
     "regularized_gamma_upper",
     "gamma_interval_prob",
-    "stirling2",
     "std_normal_cdf",
     "legendre_rule",
 ]
@@ -199,30 +198,6 @@ def gamma_interval_prob(k: float, lo: float, hi: float) -> float:
     else:
         p = regularized_gamma_lower(k, hi) - regularized_gamma_lower(k, lo)
     return min(max(p, 0.0), 1.0)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k), exact.
-
-    Bounded at n <= 30: the values themselves stay within 64-bit integers
-    there, which downstream cumulant code relies on.
-    """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
-    if n > 30:
-        raise ValueError(f"stirling2 supports n <= 30 (64-bit bound), got n={n}")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    row = [0] * (k + 1)
-    row[0] = 1  # S(0,0)
-    for m in range(1, n + 1):
-        hi = min(m, k)
-        for j in range(hi, 0, -1):
-            row[j] = j * row[j] + row[j - 1]
-        row[0] = 0
-    return row[k]
 
 
 def std_normal_cdf(x: float) -> float:

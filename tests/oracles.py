@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import special as sps
 
@@ -118,6 +119,63 @@ def cumulants_from_pmf(pmf: np.ndarray, n_max: int) -> list[float]:
             acc -= math.comb(nn - 1, j - 1) * kappa[j] * raw[nn - j]
         kappa[nn] = acc
     return kappa[1:]
+
+
+def stirling_second_kind(n: int, k: int) -> int:
+    """S(n, k) by inclusion-exclusion, exact in integers."""
+    if k == 0:
+        return 1 if n == 0 else 0
+    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return total // math.factorial(k)
+
+
+# ---------------------------------------------------------------------------
+# extended-precision count cumulants on the operator route
+#
+# The classical recombination C_n = sum_k S(n,k) U_k of the cluster integrals
+# U_k = (-1)^{k-1} (k-1)! sum_j p_j^k cancels heavily at high order, which
+# 50 working digits absorb.
+# ---------------------------------------------------------------------------
+
+MP_DIGITS = 50
+
+
+def sector_gram_mp(n: int, alpha: float, beta: float):
+    """Sector Gram matrix G_{lm} = Gamma((l+m)/2+1)/sqrt(l! m!) * (1/2pi)
+    int_alpha^beta e^{i(m-l)t} dt, in mpmath at MP_DIGITS digits."""
+    with mpmath.workdps(MP_DIGITS):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        g = mpmath.matrix(n, n)
+        for l in range(n):
+            for m in range(n):
+                d = m - l
+                if d == 0:
+                    ang = (b - a) / (2 * mpmath.pi)
+                else:
+                    ang = ((mpmath.expj(d * b) - mpmath.expj(d * a))
+                           / (2j * mpmath.pi * d))
+                rad = (mpmath.gamma(mpmath.mpf(l + m) / 2 + 1)
+                       / mpmath.sqrt(mpmath.factorial(l) * mpmath.factorial(m)))
+                g[l, m] = rad * ang
+        return g
+
+
+def sector_spectrum_mp(n: int, alpha: float, beta: float) -> list:
+    """Eigenvalues of sector_gram_mp, from mpmath's Hermitian solver."""
+    with mpmath.workdps(MP_DIGITS):
+        return list(mpmath.eighe(sector_gram_mp(n, alpha, beta), eigvals_only=True))
+
+
+def cumulants_from_spectrum_mp(p, n_max: int) -> list[float]:
+    """Count cumulants C_1..C_nmax of a Bernoulli sum over the spectrum p,
+    by Stirling recombination of power sums in extended precision."""
+    with mpmath.workdps(MP_DIGITS):
+        p = [mpmath.mpf(x) for x in p]
+        u = [(-1) ** (k - 1) * math.factorial(k - 1) * mpmath.fsum(x ** k for x in p)
+             for k in range(1, n_max + 1)]
+        return [float(mpmath.fsum(stirling_second_kind(nn, k) * u[k - 1]
+                                  for k in range(1, nn + 1)))
+                for nn in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_criterion_08_cross_route_triangle():
     var_rad = radial_count_var(n, a, b)
     mean_arc = n * arc.length / (2.0 * math.pi)
     var_arc = angular_count_var(n, arc)
-    # Gram-trace route
+    # Gram-spectrum route
     cs_rad = cumulants_from_gram(gram_annulus(n, a, b), 2)
     cs_arc = cumulants_from_gram(gram_sector(n, arc), 2)
     gram_gap = max(

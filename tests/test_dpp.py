@@ -2,8 +2,8 @@
 
 The cross-module identities here are the strongest checks in the suite:
 the same variance must fall out of incomplete gammas (radial), the Fourier
-double sum (angular), and operator traces (this module), each computed from
-different primitives.
+double sum (angular), and the region operator's spectrum (this module), each
+computed from different primitives.
 """
 
 import math
@@ -22,11 +22,16 @@ from ginfluct.dpp import (
     cumulants_permanental,
     gram_annulus,
     gram_sector,
-    quaternion_radial_probabilities,
 )
 from ginfluct.radial import Ensemble, count_probabilities, radial_count_var
 
-from oracles import bernoulli_count_pmf, cumulants_from_pmf
+from oracles import (
+    bernoulli_count_pmf,
+    cumulants_from_pmf,
+    cumulants_from_spectrum_mp,
+    sector_spectrum_mp,
+    stirling_second_kind,
+)
 
 
 class TestGramAnnulus:
@@ -44,9 +49,8 @@ class TestGramAnnulus:
 
     def test_variance_identity_with_radial_module(self):
         n, a, b = 256, 0.4, 0.8
-        g = gram_annulus(n, a, b)
-        t1, t2 = g.trace_powers(2)
-        assert t1 - t2 == pytest.approx(radial_count_var(n, a, b), abs=1e-10)
+        cs = cumulants_from_gram(gram_annulus(n, a, b), 2)
+        assert cs.cumulant(2) == pytest.approx(radial_count_var(n, a, b), abs=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,8 +82,8 @@ class TestGramSector:
     def test_variance_identity_with_angular_module(self):
         n = 128
         arc = ArcWindow.symmetric(math.pi / 2.0)
-        t1, t2 = gram_sector(n, arc).trace_powers(2)
-        assert t1 - t2 == pytest.approx(angular_count_var(n, arc), rel=1e-8)
+        cs = cumulants_from_gram(gram_sector(n, arc), 2)
+        assert cs.cumulant(2) == pytest.approx(angular_count_var(n, arc), rel=1e-8)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_spectrum_in_unit_interval(self, n):
@@ -87,13 +91,15 @@ class TestGramSector:
         assert ev.min() >= -1e-10
         assert ev.max() <= 1.0 + 1e-10
 
-    def test_trace_powers_match_dense_linear_algebra(self):
+    def test_cluster_integrals_match_dense_linear_algebra(self):
+        # U_k = (-1)^{k-1} (k-1)! Tr G^k, with the trace from matrix powers
         g = gram_sector(10, ArcWindow(-0.5, 1.5))
-        got = g.trace_powers(4)
+        cs = cumulants_from_gram(g, 4)
         m = np.eye(10, dtype=complex)
-        for k in range(4):
+        for k in range(1, 5):
             m = m @ g.matrix
-            assert got[k] == pytest.approx(float(np.trace(m).real), rel=1e-12)
+            ref = (-1.0) ** (k - 1) * math.factorial(k - 1) * float(np.trace(m).real)
+            assert cs.cluster(k) == pytest.approx(ref, rel=1e-12)
 
     def test_single_point_sector(self):
         arc = ArcWindow(-0.2, 0.9)
@@ -102,15 +108,9 @@ class TestGramSector:
 
 
 class TestQuaternionProbabilities:
-    def test_matches_radial_module(self):
-        n, a, b = 50, 0.5, 0.9
-        p = quaternion_radial_probabilities(n, a, b)
-        ref = count_probabilities(n, a, b, Ensemble.QUATERNION)
-        np.testing.assert_allclose(p, ref, rtol=0.0, atol=1e-13)
-
     def test_variance_identity(self):
         n, a, b = 256, 0.4, 0.8
-        cs = cumulants_permanental(quaternion_radial_probabilities(n, a, b), 2)
+        cs = cumulants_permanental(count_probabilities(n, a, b, Ensemble.QUATERNION), 2)
         ref = radial_count_var(n, a, b, Ensemble.QUATERNION)
         assert cs.cumulant(2) == pytest.approx(ref, abs=1e-12)
 
@@ -174,12 +174,17 @@ class TestCumulants:
         assert a.u == b.u and a.c == b.c
 
     def test_dense_route_agrees_on_diagonal_matrices(self):
+        # a matrix operator goes through its eigenvalues, which here are p
         p = np.array([0.15, 0.4, 0.85, 0.6])
-        dense = GramOperator(n=4, structure="dense", matrix=np.diag(p).astype(complex))
+        dense = GramOperator(n=4, structure="sector", matrix=np.diag(p).astype(complex))
         a = cumulants_from_gram(dense, 6)
         b = cumulants_permanental(p, 6)
         for order in range(1, 7):
             assert a.cumulant(order) == pytest.approx(b.cumulant(order), rel=1e-12)
+
+    def test_unknown_structure_rejected(self):
+        with pytest.raises(ValueError):
+            GramOperator(n=2, structure="dense", matrix=np.eye(2, dtype=complex))
 
     def test_sector_low_orders_match_angular_module(self):
         n = 96
@@ -202,13 +207,41 @@ class TestCumulants:
     ])
     def test_trace_power_deficit_bounds(self, maker):
         # 0 <= Tr(G - G^l) <= (l-1) Tr(G - G^2) for projections' restrictions
-        g = maker()
-        traces = g.trace_powers(6)
+        ev = maker().eigenvalues()
+        traces = [math.fsum(ev ** k) for k in range(1, 7)]
         t1 = traces[0]
         var = t1 - traces[1]
         for ell in range(3, 7):
             deficit = t1 - traces[ell - 1]
             assert -1e-12 <= deficit <= (ell - 1) * var + 1e-12
+
+
+class TestExtendedPrecisionReference:
+    """All orders against 50-digit Stirling recombination of power sums.
+
+    The sector reference diagonalizes its own mpmath Gram matrix; the annulus
+    reference takes the float64 probabilities, so both sides see one input.
+    """
+
+    @staticmethod
+    def _assert_close(cs, ref):
+        scale = ref[1]
+        for order in range(1, 13):
+            err = abs(cs.cumulant(order) - ref[order - 1])
+            assert err <= 1e-10 * max(abs(ref[order - 1]), scale), order
+
+    @pytest.mark.parametrize("n,arc", [(24, ArcWindow.symmetric(1.1)),
+                                       (32, ArcWindow(-2.0, 0.3))])
+    def test_sector(self, n, arc):
+        cs = cumulants_from_gram(gram_sector(n, arc), 12)
+        ref = cumulants_from_spectrum_mp(sector_spectrum_mp(n, arc.alpha, arc.beta), 12)
+        self._assert_close(cs, ref)
+
+    @pytest.mark.parametrize("n,a,b", [(64, 0.4, 0.8), (300, 0.5, 0.9)])
+    def test_annulus(self, n, a, b):
+        g = gram_annulus(n, a, b)
+        cs = cumulants_from_gram(g, 12)
+        self._assert_close(cs, cumulants_from_spectrum_mp(g.diag, 12))
 
 
 class TestCltCertificate:
@@ -254,3 +287,9 @@ class TestCltCertificate:
         # B_2 = 1, B_3 = S(3,2) 1! 1 + S(3,3) 2! 2 = 3 + 4 = 7
         assert cumulant_bound_factor(2) == 1.0
         assert cumulant_bound_factor(3) == 7.0
+        for n in range(2, 13):
+            ref = sum(stirling_second_kind(n, k) * math.factorial(k - 1) * (k - 1)
+                      for k in range(2, n + 1))
+            assert cumulant_bound_factor(n) == float(ref)
+        with pytest.raises(ValueError):
+            cumulant_bound_factor(13)

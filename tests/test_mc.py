@@ -145,55 +145,40 @@ class TestEigDense:
         with pytest.raises(ValueError):
             eig_dense(np.array([[math.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            eig_dense(np.eye(2), backend="cayley")
-        with pytest.raises(ValueError):
             eig_dense(np.eye(MAX_MATRIX_N + 1))
 
-    @pytest.mark.parametrize("backend", ["lapack", "qr"])
-    def test_diagonal_matrix(self, backend):
+    def test_diagonal_matrix(self):
         d = np.array([3.0, -1.0, 2.5, 0.0])
-        lam = eig_dense(np.diag(d), backend=backend)
+        lam = eig_dense(np.diag(d))
         assert np.allclose(np.sort_complex(lam), np.sort_complex(d), atol=1e-12)
 
-    @pytest.mark.parametrize("backend", ["lapack", "qr"])
-    def test_companion_cube_roots_of_unity(self, backend):
+    def test_companion_cube_roots_of_unity(self):
         comp = np.array([[0.0, 0.0, 1.0],
                          [1.0, 0.0, 0.0],
                          [0.0, 1.0, 0.0]])
-        lam = np.sort_complex(eig_dense(comp, backend=backend))
+        lam = np.sort_complex(eig_dense(comp))
         roots = np.sort_complex(np.exp(2j * math.pi * np.arange(3) / 3.0))
         assert np.allclose(lam, roots, atol=1e-10)
 
-    def test_qr_handles_unitary_stagnation(self):
-        # companion of z^8 - 1: a permutation matrix, the classic case where
-        # plain Wilkinson shifts stall and the exceptional shift is needed
-        comp = np.roll(np.eye(8), 1, axis=0)
-        lam = eig_dense(comp, backend="qr")
-        roots = np.exp(2j * math.pi * np.arange(8) / 8.0)
-        # match each root to its nearest computed eigenvalue (sorting ties on
-        # the real part are unstable at rounding level)
-        dist = np.abs(lam[:, None] - roots[None, :])
-        assert np.max(np.min(dist, axis=0)) <= 1e-8
-        assert np.max(np.min(dist, axis=1)) <= 1e-8
-
-    @pytest.mark.parametrize("backend", ["lapack", "qr"])
-    def test_random_8x8_against_charpoly_roots(self, backend):
+    def test_random_8x8_against_charpoly_roots(self):
         rng = np.random.default_rng(31)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        lam = np.array(sorted(eig_dense(a, backend=backend),
+        lam = np.array(sorted(eig_dense(a),
                               key=lambda z: (z.real, z.imag)))
         ref = np.array(sorted(eig_via_charpoly(a),
                               key=lambda z: (z.real, z.imag)))
         assert np.max(np.abs(lam - ref)) <= 1e-8
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(32)
-        a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        la = np.array(sorted(eig_dense(a, backend="lapack"),
-                             key=lambda z: (z.real, z.imag)))
-        qr = np.array(sorted(eig_dense(a, backend="qr"),
-                             key=lambda z: (z.real, z.imag)))
-        assert np.max(np.abs(la - qr)) <= 1e-8
+    def test_trace_contract_fires(self, monkeypatch):
+        # a LAPACK result shifted off the true spectrum must be refused
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: eigvals(m) + 1e-6)
+        rng = np.random.default_rng(33)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        with pytest.raises(RuntimeError, match="trace contract"):
+            eig_dense(a)
+        with pytest.raises(RuntimeError, match=r"seed=5, stream=3\)"):
+            sample_ginibre_eigenvalues(6, RngStream(5, 3), size=2)
 
     def test_empty_matrix(self):
         assert eig_dense(np.empty((0, 0))).shape == (0,)

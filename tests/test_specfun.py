@@ -10,8 +10,7 @@ from scipy import special as sps
 from ginfluct.specfun import (QuadratureRule, gamma_interval_prob,
                               legendre_rule, log_gamma,
                               regularized_gamma_lower,
-                              regularized_gamma_upper, std_normal_cdf,
-                              stirling2)
+                              regularized_gamma_upper, std_normal_cdf)
 
 
 class TestLogGamma:
@@ -144,39 +143,6 @@ class TestGammaIntervalProb:
         # moving the left edge up cannot gain mass
         lo2 = min(lo + shrink_lo, hi)
         assert gamma_interval_prob(k, lo2, hi) <= p + 1e-13
-
-
-def _stirling2_inclusion_exclusion(n: int, k: int) -> int:
-    if k == 0:
-        return 1 if n == 0 else 0
-    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
-    return total // math.factorial(k)
-
-
-class TestStirling2:
-    def test_table_values(self):
-        assert stirling2(4, 2) == 7
-        assert stirling2(6, 3) == 90
-
-    def test_diagonal_and_edges(self):
-        for n in range(0, 12):
-            assert stirling2(n, n) == 1
-        for n in range(1, 12):
-            assert stirling2(n, 1) == 1
-            assert stirling2(n, 0) == 0
-
-    @pytest.mark.parametrize("n", [5, 9, 16, 30])
-    def test_against_inclusion_exclusion(self, n):
-        for k in range(0, n + 1):
-            assert stirling2(n, k) == _stirling2_inclusion_exclusion(n, k)
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            stirling2(31, 3)
-        with pytest.raises(ValueError):
-            stirling2(5, 6)
-        with pytest.raises(ValueError):
-            stirling2(-1, 0)
 
 
 class TestNormalCdf:
