@@ -175,6 +175,12 @@ class ConvolvedStatistic:
     def phi0(self) -> complex:
         return complex(self.phat.sum())
 
+    def folded(self) -> np.ndarray:
+        """phihat(0), then phihat(d) + phihat(-d) for d = 1..band."""
+        out = self.phat[self.band:].copy()
+        out[1:] += self.phat[:self.band][::-1]
+        return out
+
 
 @dataclass(frozen=True)
 class ArcWindow:
@@ -196,24 +202,21 @@ class ArcWindow:
     def length(self) -> float:
         return self.beta - self.alpha
 
-    def fourier(self, d: int) -> complex:
-        """what(d) of the arc indicator in the normalized convention."""
-        if d == 0:
-            return complex(self.length / (2.0 * math.pi))
-        return (np.exp(-1j * d * self.alpha) - np.exp(-1j * d * self.beta)) / (2j * math.pi * d)
+    def fourier(self, d):
+        """what(d) = q e^{-i d m} sinc(d q) of the arc indicator in the
+        normalized convention, with q = L/2pi, m the arc's midpoint and
+        sinc(x) = sin(pi x)/(pi x); d is an integer or an integer array."""
+        q = self.length / (2.0 * math.pi)
+        m = 0.5 * (self.alpha + self.beta)
+        return q * np.exp(-1j * m * d) * np.sinc(d * q)
 
-    def fourier_row(self, dmax: int) -> np.ndarray:
-        """what(d) for d = 1..dmax as a vector."""
-        d = np.arange(1, dmax + 1)
-        return (np.exp(-1j * d * self.alpha) - np.exp(-1j * d * self.beta)) / (2j * math.pi * d)
-
-    def tent_fourier(self, d: int) -> float:
-        """Coefficients of the indicator's self-correlation (the tent
-        (L - |theta|)/2pi on |theta| <= L): |what(d)|^2, with peak value
-        sum_d tent_fourier(d) = L/2pi."""
-        if d == 0:
-            return (self.length / (2.0 * math.pi)) ** 2
-        return math.sin(0.5 * d * self.length) ** 2 / (math.pi * d) ** 2
+    def tent_fourier(self, d):
+        """Coefficients |what(d)|^2 = q^2 sinc(d q)^2 of the indicator's
+        self-correlation (the tent (L - |theta|)/2pi on |theta| <= L), with
+        peak value sum_d tent_fourier(d) = q = L/2pi; d is an integer or an
+        integer array."""
+        q = self.length / (2.0 * math.pi)
+        return q ** 2 * np.sinc(d * q) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +241,7 @@ def kernel_c_fourier(ell: int, k: int) -> float:
     k = abs(int(k))
     if k > 2 * ell + 1:
         return 0.0
-    lgf, lgh = _tables(2 * ell + 2)
-    if k % 2 == 0:
-        m = k // 2
-        return float(np.exp(2.0 * lgf[ell] - lgf[ell - m] - lgf[ell + m]))
-    m = (k + 1) // 2
-    return float(np.exp(2.0 * lgh[2 * ell + 1] - lgf[ell + m] - lgf[ell - m + 1]))
+    return float(_chat_row(ell, k)[k])
 
 
 def _chat_row(ell: int, kmax: int) -> np.ndarray:
@@ -262,11 +260,7 @@ def _chat_row(ell: int, kmax: int) -> np.ndarray:
 def kernel_c_apply_at_zero(ell: int, phi: ConvolvedStatistic) -> complex:
     """(C_l * phi)(0) = sum_k Chat_l(k) phihat(k)."""
     kmax = min(phi.band, 2 * ell + 1)
-    row = _chat_row(ell, kmax)
-    total = row[0] * phi.get(0)
-    for k in range(1, kmax + 1):
-        total += row[k] * (phi.get(k) + phi.get(-k))
-    return total
+    return complex(_chat_row(ell, kmax) @ phi.folded()[:kmax + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +272,7 @@ def _sums_through(n: int, dmax: int) -> np.ndarray:
     lgf, lgh = _tables(2 * n)
     out = np.empty(dmax + 1)
     for d in range(dmax + 1):
-        l = np.arange(0, n - d)
-        out[d] = np.exp(2.0 * lgh[2 * l + d] - lgf[l + d] - lgf[l]).sum()
+        out[d] = np.exp(2.0 * lgh[d:2 * n - d:2] - lgf[d:n] - lgf[:n - d]).sum()
     return out
 
 
@@ -296,6 +289,14 @@ def _row_sums(n: int) -> np.ndarray:
     return _sums_through(n, n - 1)
 
 
+def _fourier_sum(n: int, phi0, folded: np.ndarray):
+    """N phi(0) - sum_{|d|<N} C_|d| phihat(d), the exact covariance of every
+    angular pair, given folded[0] = phihat(0) and folded[d] = phihat(d) +
+    phihat(-d) for d = 1..len(folded)-1 (at most N-1)."""
+    cd = _diagonal_sums(n, len(folded) - 1)
+    return n * phi0 - cd[0] * folded[0] - cd[1:] @ folded[1:]
+
+
 def _finite_or_raise(x, what: str) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -308,11 +309,7 @@ def angular_cov_exact(f: FourierStatistic, g: FourierStatistic, n: int):
     if n < 1:
         raise ValueError("N must be >= 1")
     phi = ConvolvedStatistic.from_pair(f, g)
-    dmax = min(phi.band, n - 1)
-    cd = _diagonal_sums(n, dmax)
-    total = n * phi.phi0 - cd[0] * phi.get(0)
-    for d in range(1, dmax + 1):
-        total -= cd[d] * (phi.get(d) + phi.get(-d))
+    total = _fourier_sum(n, phi.phi0, phi.folded()[:n])
     if phi.real_pair:
         return _finite_or_raise(total.real, "angular covariance")
     _finite_or_raise(abs(total), "angular covariance")
@@ -349,15 +346,13 @@ def angular_cov_decomposed(f: FourierStatistic, g: FourierStatistic, n: int) -> 
     phi = ConvolvedStatistic.from_pair(f, g)
     if not phi.real_pair:
         raise ValueError("decomposition is reported for real statistic pairs")
+    folded = np.ascontiguousarray(phi.folded().real)
     conv_sum = 0.0
     corr = 0.0
     for ell in range(n):
         kmax = min(phi.band, 2 * ell + 1)
         row = _chat_row(ell, kmax)
-        pair = np.empty(kmax + 1)
-        pair[0] = phi.get(0).real
-        for k in range(1, kmax + 1):
-            pair[k] = (phi.get(k) + phi.get(-k)).real
+        pair = folded[:kmax + 1]
         conv_sum += float(row @ pair)
         cutoff = 2 * n - 2 * ell - 2
         if kmax > cutoff:
@@ -379,14 +374,9 @@ def angular_count_var(n: int, arc: ArcWindow) -> float:
     q = arc.length / (2.0 * math.pi)
     if q >= 1.0:
         return 0.0  # full circle: the count is deterministically N
-    cd = _row_sums(n)
-    d = np.arange(1, n)
-    if len(d):
-        w2 = np.sin(0.5 * d * arc.length) ** 2 / (math.pi ** 2 * d ** 2)
-        tail = 2.0 * float(cd[1:] @ w2)
-    else:
-        tail = 0.0
-    return _finite_or_raise(n * q - cd[0] * q * q - tail, "angular count variance")
+    tent = arc.tent_fourier(np.arange(n))
+    tent[1:] *= 2.0
+    return _finite_or_raise(_fourier_sum(n, q, tent), "angular count variance")
 
 
 def angular_count_cov(n: int, arc1: ArcWindow, arc2: ArcWindow) -> float:
@@ -397,16 +387,11 @@ def angular_count_cov(n: int, arc1: ArcWindow, arc2: ArcWindow) -> float:
         # same expression as the variance, so the two agree bit for bit
         return angular_count_var(n, arc1)
     overlap = max(0.0, min(arc1.beta, arc2.beta) - max(arc1.alpha, arc2.alpha))
-    phi0 = overlap / (2.0 * math.pi)
-    cd = _row_sums(n)
-    q1 = arc1.length / (2.0 * math.pi)
-    q2 = arc2.length / (2.0 * math.pi)
-    total = n * phi0 - cd[0] * q1 * q2
-    if n > 1:
-        w1 = arc1.fourier_row(n - 1)
-        w2 = arc2.fourier_row(n - 1)
-        total -= 2.0 * float(cd[1:] @ (w1 * np.conj(w2)).real)
-    return _finite_or_raise(total, "angular count covariance")
+    d = np.arange(n)
+    folded = (arc1.fourier(d) * np.conj(arc2.fourier(d))).real
+    folded[1:] *= 2.0
+    return _finite_or_raise(_fourier_sum(n, overlap / (2.0 * math.pi), folded),
+                            "angular count covariance")
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,10 @@ def _ensemble(name: str):
         raise UsageError(f"unknown ensemble {name!r}") from exc
 
 
-def _arc_from_args(args, suffix: str = ""):
+def _arc_from_args(args):
     from .angular import ArcWindow
 
-    arc = getattr(args, "arc" + suffix, None)
-    frac = getattr(args, ("arc" + suffix + "_frac") if suffix else "arc_frac", None)
+    arc, frac = args.arc, args.arc_frac
     if arc is not None and frac is not None:
         raise UsageError("give either --arc or --arc-frac, not both")
     if arc is not None:
@@ -190,10 +189,11 @@ def _arc_from_args(args, suffix: str = ""):
 def _banded_arc(arc, band: int):
     """Arc-indicator Fourier coefficients truncated to a band (exact when the
     partner statistic is band-limited)."""
+    import numpy as np
+
     from .angular import FourierStatistic
 
-    return FourierStatistic.from_dict(
-        {k: arc.fourier(k) for k in range(-band, band + 1)}, real=True)
+    return FourierStatistic(coeffs=arc.fourier(np.arange(-band, band + 1)), real=True)
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +441,12 @@ def cmd_mc(args) -> tuple[dict, dict]:
             raise UsageError("no exact reference for this statistic pair")
         outputs["exact"] = exact
         outputs["z_score"] = (cov - exact) / cov_se if cov_se > 0 else math.inf
+    batch = SampleBatch(n=args.n, ensemble=ens, seed=args.seed, values=vf,
+                        statistic=args.statistic)
     if args.save is not None:
-        batch = SampleBatch(n=args.n, ensemble=ens, seed=args.seed, values=vf,
-                            statistic=args.statistic)
         save_batch(batch, args.save)
         print(f"wrote {args.save}", file=sys.stderr)
     if args.save_csv is not None:
-        batch = SampleBatch(n=args.n, ensemble=ens, seed=args.seed, values=vf,
-                            statistic=args.statistic)
         save_batch_csv(batch, args.save_csv)
         print(f"wrote {args.save_csv}", file=sys.stderr)
     return inputs, outputs
@@ -485,7 +483,7 @@ def cmd_clt(args) -> tuple[dict, dict]:
 def cmd_kernel(args) -> tuple[dict, dict]:
     import numpy as np
 
-    from .angular import kernel_c_eval, kernel_c_fourier
+    from .angular import _chat_row, kernel_c_eval
 
     try:
         ells = [int(tok) for tok in args.ell.split(",") if tok != ""]
@@ -504,10 +502,9 @@ def cmd_kernel(args) -> tuple[dict, dict]:
                 rows.append({"ell": ell, "series": "theta", "index": i,
                              "argument": float(t), "value": float(v)})
     for ell in ells:
-        kmax = min(args.kmax, 2 * ell + 1)
-        for k in range(kmax + 1):
+        for k, v in enumerate(_chat_row(ell, args.kmax)):
             rows.append({"ell": ell, "series": "fourier", "index": k,
-                         "argument": float(k), "value": kernel_c_fourier(ell, k)})
+                         "argument": float(k), "value": float(v)})
     inputs = {"ell": ells, "theta_count": args.theta_count, "kmax": args.kmax}
     return inputs, {"rows": rows}
 

@@ -119,7 +119,7 @@ def gram_sector(n: int, arc: ArcWindow) -> GramOperator:
     idx = np.arange(n)
     radial = np.exp(lgh[idx[:, None] + idx[None, :]]
                     - 0.5 * (lgf[idx][:, None] + lgf[idx][None, :]))
-    wvals = np.array([arc.fourier(d) for d in range(-(n - 1), n)])
+    wvals = arc.fourier(np.arange(-(n - 1), n))
     wmat = wvals[(idx[:, None] - idx[None, :]) + (n - 1)]
     return GramOperator(n=n, structure="sector", matrix=radial * wmat)
 

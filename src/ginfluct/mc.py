@@ -119,6 +119,16 @@ def save_batch_csv(batch: SampleBatch, path) -> None:
 # samplers
 # ---------------------------------------------------------------------------
 
+def _gamma_blocks(gen: np.random.Generator, n: int, ens: Ensemble, size: int):
+    """Yield (lo, hi, block): replicas lo..hi-1 of the N gamma variables
+    s_1..s_N, drawn in chunks of at most _CHUNK_ELEMENTS entries."""
+    shapes = np.array([ens.shape(ell) for ell in range(1, n + 1)], dtype=float)
+    step = max(1, _CHUNK_ELEMENTS // n)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        yield lo, hi, gen.standard_gamma(np.broadcast_to(shapes, (hi - lo, n)))
+
+
 def sample_radial_moduli(n: int, ens: Ensemble, rng: RngStream,
                          size: int | None = None) -> np.ndarray:
     """Moduli sets via the gamma representation; shape (N,) or (size, N).
@@ -128,18 +138,12 @@ def sample_radial_moduli(n: int, ens: Ensemble, rng: RngStream,
     """
     if n < 1:
         raise ValueError("N must be >= 1")
-    shapes = np.array([ens.shape(ell) for ell in range(1, n + 1)], dtype=float)
-    scale = ens.scale(n)
-    gen = rng.generator()
-    if size is None:
-        s = gen.standard_gamma(shapes)
-    else:
-        s = np.empty((size, n))
-        step = max(1, _CHUNK_ELEMENTS // n)
-        for lo in range(0, size, step):
-            hi = min(lo + step, size)
-            s[lo:hi] = gen.standard_gamma(np.broadcast_to(shapes, (hi - lo, n)))
-    return np.sqrt(s / scale)
+    s = np.empty((1 if size is None else size, n))
+    for lo, hi, block in _gamma_blocks(rng.generator(), n, ens, len(s)):
+        s[lo:hi] = block
+    s /= ens.scale(n)
+    np.sqrt(s, out=s)
+    return s[0] if size is None else s
 
 
 def sample_ginibre_eigenvalues(n: int, rng: RngStream, size: int | None = None) -> np.ndarray:
@@ -276,14 +280,10 @@ def normalized_count_samples(n: int, a: float, b: float, ens: Ensemble,
     if var <= 0.0:
         raise ValueError("window has zero variance; nothing to normalize")
     gen = rng.generator()
-    shapes = np.array([ens.shape(ell) for ell in range(1, n + 1)], dtype=float)
     scale = ens.scale(n)
     s_lo, s_hi = scale * a * a, scale * b * b
     counts = np.empty(size)
-    step = max(1, _CHUNK_ELEMENTS // n)
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
-        sblock = gen.standard_gamma(np.broadcast_to(shapes, (hi - lo, n)))
+    for lo, hi, sblock in _gamma_blocks(gen, n, ens, size):
         counts[lo:hi] = np.count_nonzero((sblock >= s_lo) & (sblock < s_hi), axis=1)
     if jitter:
         counts = counts + gen.uniform(-0.5, 0.5, size)

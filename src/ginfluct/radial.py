@@ -176,16 +176,6 @@ def _quad_expectation(values_of_r: Callable[[np.ndarray], np.ndarray],
     return total
 
 
-def _one_factor_mean(f: RadialTestFunction, shape: float, scale: float) -> float:
-    if f.kind == "poly":
-        table = _moment_table(shape, scale, len(f.coeffs) - 1)
-        return math.fsum(c * table[j] for j, c in enumerate(f.coeffs))
-    if f.kind == "indicator":
-        return gamma_interval_prob(shape, scale * f.a * f.a, scale * f.b * f.b)
-    _check_callable_window(f, shape, scale)
-    return _quad_expectation(f.evaluate, shape, scale)
-
-
 def _one_factor_product_mean(f: RadialTestFunction, g: RadialTestFunction,
                              shape: float, scale: float) -> float:
     """E[f(r) g(r)] under one gamma factor, taking the exact route available."""
@@ -232,12 +222,16 @@ def _check_callable_window(f: RadialTestFunction, shape: float, scale: float) ->
 # public sums over the N factors
 # ---------------------------------------------------------------------------
 
+_ONE = RadialTestFunction.poly([1.0])
+
+
 def radial_mean_exact(f: RadialTestFunction, n: int, ens: Ensemble = Ensemble.COMPLEX) -> float:
     """E[X(f)] = sum_l E[f(sqrt(s/scale))]."""
     if n < 1:
         raise ValueError("N must be >= 1")
     scale = ens.scale(n)
-    return math.fsum(_one_factor_mean(f, ens.shape(l), scale) for l in range(1, n + 1))
+    return math.fsum(_one_factor_product_mean(f, _ONE, ens.shape(l), scale)
+                     for l in range(1, n + 1))
 
 
 def radial_cov_exact(f: RadialTestFunction, g: RadialTestFunction, n: int,
@@ -251,7 +245,8 @@ def radial_cov_exact(f: RadialTestFunction, g: RadialTestFunction, n: int,
         k = ens.shape(l)
         terms.append(
             _one_factor_product_mean(f, g, k, scale)
-            - _one_factor_mean(f, k, scale) * _one_factor_mean(g, k, scale)
+            - _one_factor_product_mean(f, _ONE, k, scale)
+            * _one_factor_product_mean(g, _ONE, k, scale)
         )
     return math.fsum(terms)
 

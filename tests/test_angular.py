@@ -16,6 +16,8 @@ from ginfluct.angular import (
     ArcWindow,
     ConvolvedStatistic,
     FourierStatistic,
+    _diagonal_sums,
+    _row_sums,
     angular_count_cov,
     angular_count_var,
     angular_cov_decomposed,
@@ -134,14 +136,19 @@ class TestArcWindow:
         for d in (0, 1, 2, 7):
             num = np.mean(ind * np.exp(-1j * d * theta))
             assert abs(num - arc.fourier(d)) < 1e-5
+        d = np.arange(-7, 8)
         np.testing.assert_allclose(
-            arc.fourier_row(7), [arc.fourier(d) for d in range(1, 8)], atol=1e-14)
+            arc.fourier(d), [arc.fourier(int(k)) for k in d], rtol=1e-14, atol=0.0)
 
     def test_tent_coefficients(self):
         arc = ArcWindow.symmetric(1.2)
         assert arc.tent_fourier(0) == (1.2 / (2 * math.pi)) ** 2
         for d in (1, 3, 10):
             assert arc.tent_fourier(d) == pytest.approx(abs(arc.fourier(d)) ** 2, rel=1e-12)
+        d = np.arange(0, 11)
+        row = arc.tent_fourier(d)
+        assert row[0] == arc.tent_fourier(0)
+        np.testing.assert_allclose(row, np.abs(arc.fourier(d)) ** 2, rtol=1e-12, atol=0.0)
 
     def test_tent_peak_sums_to_arc_mass(self):
         # phi(0) = L/2pi = sum_d |what(d)|^2; tail is O(1/K)
@@ -249,6 +256,24 @@ class TestKernelC:
                 for k in range(-phi.band, phi.band + 1)
             )
             assert kernel_c_apply_at_zero(ell, phi) == pytest.approx(direct, rel=1e-13)
+
+
+class TestDiagonalSums:
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_row_against_lgamma_oracle(self, n):
+        # C_d = sum_{l<n-d} Gamma(l+d/2+1)^2 / ((l+d)! l!), term by term in
+        # math.lgamma and summed exactly with math.fsum
+        row = _row_sums(n)
+        assert len(row) == n
+        for d in range(n):
+            oracle = math.fsum(
+                math.exp(2.0 * math.lgamma(l + 0.5 * d + 1.0)
+                         - math.lgamma(l + d + 1.0) - math.lgamma(l + 1.0))
+                for l in range(n - d))
+            assert row[d] == pytest.approx(oracle, rel=1e-12)
+        # the partial rows below n/2 are bitwise prefixes of the cached row
+        for dmax in range(n // 2):
+            assert np.array_equal(_diagonal_sums(n, dmax), row[: dmax + 1])
 
 
 class TestCovExact:

@@ -28,6 +28,8 @@ from ginfluct.mc import load_batch
 from ginfluct.radial import radial_count_cov, radial_count_var, radial_cov_exact
 from ginfluct.radial import RadialTestFunction
 
+from oracles import quad4d_cov
+
 
 def run_cli(capsys, *argv):
     """Run main() and return (exit_code, stdout, stderr)."""
@@ -294,6 +296,19 @@ class TestMcRun:
         arc = ArcWindow(-0.5, 0.5)
         assert out["exact"] == pytest.approx(angular_count_cov(8, arc, arc))
         assert abs(out["z_score"]) <= 4.0
+
+    def test_arc_against_fourier_exact_reference(self, capsys):
+        # arc x band-limited pair: the arc is truncated to the partner's band
+        # before the exact Fourier sum; checked against the planar oracle
+        t_nodes = 256
+        h = 2.0 * math.pi / t_nodes
+        arc = ArcWindow(-math.pi + 40.5 * h, -math.pi + 120.5 * h)
+        doc = run_json(capsys, "mc", "run", "--n", "2", "--samples", "200",
+                       "--seed", "6", "--statistic", f"ind-arg:{arc.alpha!r},{arc.beta!r}",
+                       "--statistic2", "cos:1", "--check-exact")
+        oracle = quad4d_cov(lambda t: ((t >= arc.alpha) & (t <= arc.beta)).astype(float),
+                            np.cos, 2, t_nodes=t_nodes, r_nodes=100)
+        assert doc["outputs"]["exact"] == pytest.approx(oracle, rel=5e-4, abs=1e-4)
 
     def test_matrix_sampler_logs_to_stderr_only(self, capsys):
         code, out, err = run_cli(capsys, "mc", "run", "--n", "8", "--samples",
