@@ -157,10 +157,12 @@ class ConvolvedStatistic:
 
     @classmethod
     def from_pair(cls, f: FourierStatistic, g: FourierStatistic) -> "ConvolvedStatistic":
-        band = max(f.band, g.band)
-        ks = np.arange(-band, band + 1)
-        vals = np.array([f.get(k) * g.get(-k) for k in ks], dtype=complex)
-        return cls(phat=vals, real_pair=f.real and g.real)
+        # phihat vanishes outside the narrower band; inside it, one product
+        band, m = max(f.band, g.band), min(f.band, g.band)
+        phat = np.zeros(2 * band + 1, dtype=complex)
+        phat[band - m:band + m + 1] = (f.coeffs[f.band - m:f.band + m + 1]
+                                       * g.coeffs[::-1][g.band - m:g.band + m + 1])
+        return cls(phat=phat, real_pair=f.real and g.real)
 
     @property
     def band(self) -> int:

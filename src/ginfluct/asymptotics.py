@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import ArcWindow, FourierStatistic
+from .angular import ArcWindow, ConvolvedStatistic, FourierStatistic
 from .radial import Ensemble, RadialTestFunction, radial_count_var
 from .specfun import legendre_rule, std_normal_cdf
 
@@ -91,9 +91,9 @@ def radial_smooth_limit(f: RadialTestFunction, g: RadialTestFunction,
 
 def angular_smooth_coeff(f: FourierStatistic, g: FourierStatistic) -> float:
     """sum_k k^2 fhat(k) ghat(-k); multiply by log(N)/4 for the variance law."""
-    total = 0.0 + 0.0j
-    for k in range(-max(f.band, g.band), max(f.band, g.band) + 1):
-        total += k * k * f.get(k) * g.get(-k)
+    phi = ConvolvedStatistic.from_pair(f, g)
+    ks = np.arange(-phi.band, phi.band + 1)
+    total = complex((ks * ks) @ phi.phat)
     if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
         raise ValueError("coefficient is complex; pair is not real-symmetric")
     return total.real

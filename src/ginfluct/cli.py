@@ -1,10 +1,10 @@
 """Command-line front end: every library capability behind one binary.
 
 Reports go to stdout (JSON by default, CSV on request), logs to stderr.
-Exit codes: 0 success, 2 usage error, 3 numerical failure.  Exact
-computations reproduce bit-for-bit on re-run; Monte Carlo reproduces for a
-fixed --seed.  The timing field is informational and excluded from that
-guarantee.
+Exit codes: 0 success, 2 usage error or input too large (MemoryError),
+3 numerical failure.  Exact computations reproduce bit-for-bit on re-run;
+Monte Carlo reproduces for a fixed --seed.  The timing field is
+informational and excluded from that guarantee.
 
 Statistic mini-language:
     poly:c0,c1,...      polynomial in the modulus r
@@ -663,6 +663,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, OverflowError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

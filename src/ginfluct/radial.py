@@ -11,8 +11,9 @@ error (and polynomials avoid quadrature entirely via moment recurrences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,11 +177,17 @@ def _quad_expectation(values_of_r: Callable[[np.ndarray], np.ndarray],
     return total
 
 
+@lru_cache(maxsize=64)
+def _poly_product(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    """Coefficients of the product of two polynomials, shared by all N factors."""
+    return tuple(np.convolve(a, b).tolist())
+
+
 def _one_factor_product_mean(f: RadialTestFunction, g: RadialTestFunction,
                              shape: float, scale: float) -> float:
     """E[f(r) g(r)] under one gamma factor, taking the exact route available."""
     if f.kind == "poly" and g.kind == "poly":
-        prod = np.convolve(f.coeffs, g.coeffs)
+        prod = _poly_product(f.coeffs, g.coeffs)
         table = _moment_table(shape, scale, len(prod) - 1)
         return math.fsum(c * table[j] for j, c in enumerate(prod))
     if {f.kind, g.kind} == {"poly", "indicator"}:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -219,13 +220,28 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
+@lru_cache(maxsize=512)
+def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    `leggauss` solves a dense n x n eigenproblem, so each n is built once
+    per process; the package asks for a few hundred distinct n at most.  It
+    is looked up at call time so that a wrapper patched onto the numpy
+    attribute sees every real build.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [lo, hi]; exact for degree <= 2n-1."""
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if not hi > lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _reference_rule(n)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return QuadratureRule(nodes=mid + half * x, weights=half * w, interval=(lo, hi))

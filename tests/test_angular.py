@@ -98,6 +98,20 @@ class TestConvolvedStatistic:
         for k in range(-phi.band, phi.band + 1):
             assert phi.get(k) == f.get(k) * g.get(-k)
 
+    @pytest.mark.parametrize("band_f, band_g", [(3, 3), (7, 2), (1, 40)])
+    def test_products_against_scalar_loop(self, band_f, band_g):
+        rng = np.random.default_rng(band_f + 100 * band_g)
+        f = FourierStatistic(coeffs=rng.normal(size=2 * band_f + 1)
+                             + 1j * rng.normal(size=2 * band_f + 1), real=False)
+        g = random_real_statistic(rng, band_g)
+        phi = ConvolvedStatistic.from_pair(f, g)
+        assert phi.band == max(band_f, band_g)
+        assert not phi.real_pair
+        for k in range(-phi.band - 2, phi.band + 3):
+            ref = f.get(k) * g.get(-k)
+            # numpy and Python round a complex product differently, within a few ulp
+            assert abs(phi.get(k) - ref) <= 4 * np.finfo(float).eps * abs(f.get(k)) * abs(g.get(-k))
+
     def test_phi0_is_sum(self):
         phi = ConvolvedStatistic.from_pair(COS, COS)
         assert phi.phi0 == pytest.approx(0.5)  # |1/2|^2 * 2

@@ -71,6 +71,16 @@ class TestAngularSmoothCoeff:
         g = FourierStatistic.cosine(2)
         assert angular_smooth_coeff(f, g) == 0.0
 
+    def test_against_scalar_loop(self):
+        rng = np.random.default_rng(11)
+        c = rng.normal(size=26) + 1j * rng.normal(size=26)
+        c[0] = c[0].real
+        f = FourierStatistic(coeffs=np.concatenate([np.conj(c[:0:-1]), c]))
+        loop = sum(k * k * f.get(k) * TWO_COS.get(-k) for k in range(-25, 26))
+        assert angular_smooth_coeff(f, TWO_COS) == pytest.approx(loop.real, rel=1e-14)
+        assert angular_smooth_coeff(f, f) == pytest.approx(
+            sum(k * k * abs(f.get(k)) ** 2 for k in range(-25, 26)), rel=1e-13)
+
     def test_log_law_ratio_shrinks_like_inverse_log(self):
         # exact = (log N)/2 + const for 2cos: (ratio-1)*log N is flat ~4.35
         devs = []

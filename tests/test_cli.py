@@ -143,6 +143,17 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def too_big(args):
+            raise MemoryError("synthetic allocation failure")
+
+        monkeypatch.setattr(cli, "cmd_cov", too_big)
+        code, out, err = run_cli(capsys, "cov", "radial", "--n", "4",
+                                 "--f", "poly:1", "--g", "poly:1")
+        assert code == 2
+        assert out == ""
+        assert "error: input too large: synthetic allocation failure" in err
+
 
 class TestCount:
     def test_angular_var_with_prediction(self, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
+from ginfluct import specfun
 from ginfluct.specfun import (QuadratureRule, gamma_interval_prob,
                               legendre_rule, log_gamma,
                               regularized_gamma_lower,
@@ -187,3 +188,46 @@ class TestLegendreRule:
     def test_rejects_tiny_rules(self):
         with pytest.raises(ValueError):
             legendre_rule(1, 0.0, 1.0)
+
+
+class TestReferenceRuleCache:
+    @pytest.mark.parametrize("n", [2, 24, 96, 320, 328])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2.0, 5.0), (3.5, 3.75), (1e3, 1.2e3)])
+    def test_matches_fresh_leggauss_bitwise(self, n, lo, hi):
+        x, w = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        rule = legendre_rule(n, lo, hi)
+        np.testing.assert_array_equal(rule.nodes, mid + half * x)
+        np.testing.assert_array_equal(rule.weights, half * w)
+        assert rule.interval == (lo, hi)
+
+    def test_reference_arrays_are_read_only(self):
+        x, w = specfun._reference_rule(24)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_returned_rules_do_not_share_storage(self):
+        first = legendre_rule(24, 0.0, 1.0)
+        expected = first.nodes.copy()
+        first.nodes[:] = -1.0
+        first.weights[:] = -1.0
+        second = legendre_rule(24, 0.0, 1.0)
+        np.testing.assert_array_equal(second.nodes, expected)
+        assert np.sum(second.weights) == pytest.approx(1.0, rel=1e-14)
+
+    def test_one_build_per_node_count(self, monkeypatch):
+        builds = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(deg):
+            builds.append(deg)
+            return real(deg)
+
+        specfun._reference_rule.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        legendre_rule(37, 0.0, 1.0)
+        legendre_rule(37, 2.0, 9.0)
+        assert builds == [37]
