@@ -17,7 +17,7 @@ import numpy as np
 
 from .angular import ArcWindow, ConvolvedStatistic, FourierStatistic
 from .radial import Ensemble, RadialTestFunction, radial_count_var
-from .specfun import legendre_rule, std_normal_cdf
+from .specfun import panel_integrate, std_normal_cdf
 
 __all__ = [
     "RegimeReport",
@@ -84,9 +84,7 @@ def radial_smooth_limit(f: RadialTestFunction, g: RadialTestFunction,
         raise ValueError("need an explicit derivative for non-polynomial statistics")
 
     df, dg = deriv(f, f_prime), deriv(g, g_prime)
-    rule = legendre_rule(96, 0.0, 1.0)
-    vals = df(rule.nodes) * dg(rule.nodes) * rule.nodes
-    return 0.5 * float(vals @ rule.weights)
+    return 0.5 * panel_integrate(lambda r: df(r) * dg(r) * r, [(0.0, 1.0)], 96)
 
 
 def angular_smooth_coeff(f: FourierStatistic, g: FourierStatistic) -> float:
@@ -116,16 +114,6 @@ def _geometric_panels(scale: float, lo: float = 0.0, hi: float = 1.0) -> list[tu
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _panel_integrate(fn, panels, nodes: int = 24) -> float:
-    total = 0.0
-    for lo, hi in panels:
-        if hi <= lo:
-            continue
-        rule = legendre_rule(nodes, lo, hi)
-        total += float(fn(rule.nodes) @ rule.weights)
-    return total
-
-
 def i_arg(beta: float) -> float:
     """Angular critical-regime scaling factor.
 
@@ -142,14 +130,14 @@ def i_arg(beta: float) -> float:
     if beta <= 0.0:
         raise ValueError("beta must be positive")
 
-    t1 = _panel_integrate(
+    t1 = panel_integrate(
         lambda u: -np.expm1(-beta * u ** 4),
-        _geometric_panels(min(1.0, beta ** -0.25)))
+        _geometric_panels(min(1.0, beta ** -0.25)), 24)
 
     erfc = np.vectorize(math.erfc, otypes=[float])
-    t2 = beta * SQRT_PI * _panel_integrate(
+    t2 = beta * SQRT_PI * panel_integrate(
         lambda v: erfc(beta * v) * v,
-        _geometric_panels(min(1.0, 1.0 / beta)))
+        _geometric_panels(min(1.0, 1.0 / beta)), 24)
     return t1 + t2
 
 
@@ -185,7 +173,7 @@ def i_mod(c: float) -> float:
         add_range(left, left + 24.0, 1.0)
         add_range(left + 24.0, right - 24.0, mid_width)
         add_range(right - 24.0, right, 1.0)
-    return SQRT_PI * _panel_integrate(integrand, panels, nodes=16)
+    return SQRT_PI * panel_integrate(integrand, panels, 16)
 
 
 # ---------------------------------------------------------------------------

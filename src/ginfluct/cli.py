@@ -2,9 +2,9 @@
 
 Reports go to stdout (JSON by default, CSV on request), logs to stderr.
 Exit codes: 0 success, 2 usage error or input too large (MemoryError),
-3 numerical failure.  Exact computations reproduce bit-for-bit on re-run;
-Monte Carlo reproduces for a fixed --seed.  The timing field is
-informational and excluded from that guarantee.
+3 numerical failure, 130 interrupted.  Exact computations reproduce
+bit-for-bit on re-run; Monte Carlo reproduces for a fixed --seed.  The
+timing field is informational and excluded from that guarantee.
 
 Statistic mini-language:
     poly:c0,c1,...      polynomial in the modulus r
@@ -260,6 +260,8 @@ def cmd_count(args) -> tuple[dict, dict]:
         inputs["window2"] = [a2, b2]
         return inputs, {"cov": radial_count_cov(args.n, (a, b), (a2, b2), ens)}
 
+    if args.ensemble != "complex":
+        raise UsageError("angular counts are exact for the complex ensemble only")
     from .angular import angular_count_cov, angular_count_var
 
     arc = _arc_from_args(args)
@@ -670,6 +672,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeError, FloatingPointError, OverflowError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     elapsed = time.perf_counter() - start
     report = Report(command=shlex.join([parser.prog] + argv), version=VERSION,
                     inputs=inputs, outputs=outputs, timing_seconds=elapsed)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .specfun import gamma_interval_prob, legendre_rule, log_gamma
+from .specfun import gamma_interval_prob, log_gamma, panel_integrate
 
 __all__ = [
     "Ensemble",
@@ -155,26 +155,21 @@ def _gamma_window(shape: float) -> tuple[float, float]:
     return max(0.0, shape - w), shape + w + 40.0
 
 
-def _quad_expectation(values_of_r: Callable[[np.ndarray], np.ndarray],
-                      shape: float, scale: float,
-                      breaks: Sequence[float] = (),
-                      nodes: int = 320) -> float:
-    """Quadrature of E[h(sqrt(s/scale))] against the Gamma(shape) density.
+# Gauss-Legendre nodes per piece of every gamma-density quadrature
+_NODES = 320
+
+
+def _gamma_integral(g: Callable[[np.ndarray, np.ndarray], np.ndarray], shape: float,
+                    left: float, right: float, breaks: Sequence[float] = ()) -> float:
+    """Integral over [left, right] of g(s, log Gamma(shape) density at s).
 
     `breaks` lists s-values (indicator edges) where the integrand jumps;
-    the window is split there so Gauss-Legendre never straddles a jump.
+    the range is split there so Gauss-Legendre never straddles a jump.
     """
-    lo, hi = _gamma_window(shape)
-    cuts = sorted({lo, hi, *[b for b in breaks if lo < b < hi]})
+    cuts = sorted({left, right, *[b for b in breaks if left < b < right]})
     lognorm = log_gamma(shape)
-    total = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        n = max(64, int(nodes * (right - left) / (hi - lo)) + 8)
-        rule = legendre_rule(n, left, right)
-        s = rule.nodes
-        dens = np.exp((shape - 1.0) * np.log(s) - s - lognorm)
-        total += rule.integrate(values_of_r(np.sqrt(s / scale)) * dens)
-    return total
+    return panel_integrate(lambda s: g(s, (shape - 1.0) * np.log(s) - s - lognorm),
+                           zip(cuts[:-1], cuts[1:]), _NODES)
 
 
 @lru_cache(maxsize=64)
@@ -207,13 +202,14 @@ def _one_factor_product_mean(f: RadialTestFunction, g: RadialTestFunction,
     for h in (f, g):
         if h.kind == "callable":
             _check_callable_window(h, shape, scale)
-    breaks = []
-    for h in (f, g):
-        if h.kind == "indicator":
-            breaks.append(scale * h.a * h.a)
-            if math.isfinite(h.b):
-                breaks.append(scale * h.b * h.b)
-    return _quad_expectation(lambda r: f.evaluate(r) * g.evaluate(r), shape, scale, breaks)
+    # an infinite upper edge falls outside the window and is dropped there
+    breaks = [scale * x * x for h in (f, g) if h.kind == "indicator" for x in (h.a, h.b)]
+
+    def integrand(s: np.ndarray, logdens: np.ndarray) -> np.ndarray:
+        r = np.sqrt(s / scale)
+        return f.evaluate(r) * g.evaluate(r) * np.exp(logdens)
+
+    return _gamma_integral(integrand, shape, *_gamma_window(shape), breaks)
 
 
 def _check_callable_window(f: RadialTestFunction, shape: float, scale: float) -> None:
@@ -358,24 +354,19 @@ def _tilted_expectation(h: RadialTestFunction, lam: float, k: int, scale: float)
     if h.kind == "indicator":
         s_hi = scale * h.b * h.b if math.isfinite(h.b) else math.inf
         return math.expm1(lam) * gamma_interval_prob(k, scale * h.a * h.a, s_hi)
-    lognorm = log_gamma(k)
 
-    def chunk(left: float, right: float) -> float:
-        rule = legendre_rule(320, left, right)
-        s = rule.nodes
-        logdens = (k - 1.0) * np.log(s) - s - lognorm
+    def tilt(s: np.ndarray, logdens: np.ndarray) -> np.ndarray:
         arg = lam * h.evaluate(np.sqrt(s / scale))
         big = arg > 50.0
-        vals = np.where(big, np.exp(arg + logdens), np.expm1(arg) * np.exp(logdens))
-        return rule.integrate(vals)
+        return np.where(big, np.exp(arg + logdens), np.expm1(arg) * np.exp(logdens))
 
     lo, hi = _gamma_window(k)
-    if h.kind == "callable" and math.sqrt(hi / scale) > h.r_max:
-        raise ValueError(f"factor k={k}: callable not evaluable over its gamma window")
-    total = chunk(lo, hi)
+    if h.kind == "callable":
+        _check_callable_window(h, k, scale)
+    total = _gamma_integral(tilt, k, lo, hi)
     step = hi - lo
     for _ in range(64):
-        piece = chunk(hi, hi + step)
+        piece = _gamma_integral(tilt, k, hi, hi + step)
         hi += step
         total += piece
         if abs(piece) < 1e-15 * max(1.0, abs(total)):

@@ -3,7 +3,7 @@
 Everything downstream (gamma-sum expectations, Fourier double sums, count
 probabilities, normal tail integrals) reduces to the four workhorses here:
 log-gamma, the regularized incomplete gamma pair, the standard normal CDF,
-and Gauss-Legendre rules.  All gamma-ratio quantities elsewhere in the
+and Gauss-Legendre panel sums.  All gamma-ratio quantities elsewhere in the
 package are assembled in log space from `log_gamma` and exponentiated once.
 """
 
@@ -23,6 +23,7 @@ __all__ = [
     "gamma_interval_prob",
     "std_normal_cdf",
     "legendre_rule",
+    "panel_integrate",
 ]
 
 # Lanczos coefficients for g = 7, n = 9 (double-precision classic set).
@@ -225,8 +226,8 @@ def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1].
 
     `leggauss` solves a dense n x n eigenproblem, so each n is built once
-    per process; the package asks for a few hundred distinct n at most.  It
-    is looked up at call time so that a wrapper patched onto the numpy
+    per process; the package asks for four node counts (16, 24, 96, 320).
+    It is looked up at call time so that a wrapper patched onto the numpy
     attribute sees every real build.
     """
     x, w = np.polynomial.legendre.leggauss(n)
@@ -245,3 +246,15 @@ def legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return QuadratureRule(nodes=mid + half * x, weights=half * w, interval=(lo, hi))
+
+
+def panel_integrate(fn, panels, nodes: int) -> float:
+    """Sum of `nodes`-point Gauss-Legendre integrals of fn over (lo, hi)
+    panels, skipping empty ones; every quadrature in the package is one."""
+    total = 0.0
+    for lo, hi in panels:
+        if hi <= lo:
+            continue
+        rule = legendre_rule(nodes, lo, hi)
+        total += float(fn(rule.nodes) @ rule.weights)
+    return total

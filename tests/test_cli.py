@@ -114,6 +114,10 @@ class TestExitCodes:
         ("count", "var", "--kind", "angular", "--n", "8", "--arc-frac", "1.5"),
         ("count", "var", "--kind", "radial", "--n", "8", "--window", "0.9,0.4"),
         ("count", "var", "--kind", "radial", "--n", "0", "--window", "0.4,0.9"),
+        ("count", "var", "--kind", "angular", "--n", "8", "--arc", "0,1",
+         "--ensemble", "quaternion"),
+        ("count", "cov", "--kind", "angular", "--n", "8", "--arc", "0,1",
+         "--arc2", "0.5,2", "--ensemble", "quaternion"),
         ("mc", "run", "--n", "8", "--samples", "100", "--statistic", "cos:1",
          "--sampler", "gamma"),
         ("mc", "run", "--n", "8", "--samples", "100", "--statistic", "cos:1",
@@ -153,6 +157,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "error: input too large: synthetic allocation failure" in err
+
+    def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_cov", interrupted)
+        code, out, err = run_cli(capsys, "cov", "radial", "--n", "4",
+                                 "--f", "poly:1", "--g", "poly:1")
+        assert code == 130
+        assert out == ""
+        assert "error: interrupted" in err
 
 
 class TestCount:

@@ -377,3 +377,30 @@ class TestLogMgf:
         # lam r^2 with lam >= N tips the integrand over
         with pytest.raises(ValueError, match="k=1"):
             radial_log_mgf(R2, 2.0, 2)
+
+
+class TestCallableRoutes:
+    """The quadrature route for callables against the exact routes, at the
+    benchmark's 1e-10 relative gap (r_max covers the N=1 window, r ~ 7.3)."""
+
+    R2_FN = RadialTestFunction.from_callable(lambda r: r * r, r_max=8.0)
+
+    @pytest.mark.parametrize("ens", list(Ensemble))
+    @pytest.mark.parametrize("n", [1, 8, 24])
+    def test_callable_pair_against_polynomial(self, n, ens):
+        got = radial_cov_exact(self.R2_FN, self.R2_FN, n, ens)
+        assert got == pytest.approx(radial_cov_exact(R2, R2, n, ens), rel=1e-10)
+
+    @pytest.mark.parametrize("b", [0.8, math.inf])
+    @pytest.mark.parametrize("ens", list(Ensemble))
+    @pytest.mark.parametrize("n", [1, 8, 24])
+    def test_callable_indicator_against_polynomial_indicator(self, n, ens, b):
+        ind = RadialTestFunction.indicator(0.4, b)
+        got = radial_cov_exact(self.R2_FN, ind, n, ens)
+        assert got == pytest.approx(radial_cov_exact(R2, ind, n, ens), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 8, 24])
+    def test_callable_log_mgf_closed_form(self, n):
+        lam = 0.3
+        target = -0.5 * n * (n + 1) * math.log1p(-lam / n)
+        assert radial_log_mgf(self.R2_FN, lam, n) == pytest.approx(target, rel=1e-10)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy import special as sps
 
 from ginfluct import specfun
+from ginfluct.radial import RadialTestFunction, radial_cov_exact, radial_log_mgf
 from ginfluct.specfun import (QuadratureRule, gamma_interval_prob,
-                              legendre_rule, log_gamma,
+                              legendre_rule, log_gamma, panel_integrate,
                               regularized_gamma_lower,
                               regularized_gamma_upper, std_normal_cdf)
 
@@ -231,3 +232,33 @@ class TestReferenceRuleCache:
         legendre_rule(37, 0.0, 1.0)
         legendre_rule(37, 2.0, 9.0)
         assert builds == [37]
+
+    def test_radial_callables_share_one_rule(self, monkeypatch):
+        # every callable factor and every tilt window, whatever its length,
+        # uses the same fixed node count
+        builds = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(deg):
+            builds.append(deg)
+            return real(deg)
+
+        specfun._reference_rule.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        f = RadialTestFunction.from_callable(lambda r: r * r, r_max=8.0)
+        radial_cov_exact(f, RadialTestFunction.indicator(0.4, 0.8), 16)
+        radial_log_mgf(f, 0.3, 8)
+        assert len(builds) == 1
+
+
+class TestPanelIntegrate:
+    def test_matches_hand_loop_bitwise(self):
+        def fn(x):
+            return np.exp(-x) * np.cos(3.0 * x)
+
+        panels = [(0.0, 0.5), (0.5, 2.0), (2.0, 2.0), (3.0, 2.5), (2.0, 9.0)]
+        total = 0.0
+        for lo, hi in panels:
+            if hi > lo:
+                total += legendre_rule(24, lo, hi).integrate(fn)
+        assert panel_integrate(fn, panels, 24) == total
