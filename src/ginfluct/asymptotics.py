@@ -59,14 +59,7 @@ class RegimeReport:
 
 def _poly_derivative(coeffs: tuple[float, ...]):
     dc = tuple(j * c for j, c in enumerate(coeffs))[1:]
-
-    def d(r: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(r)
-        for c in reversed(dc):
-            out = out * r + c
-        return out
-
-    return d
+    return RadialTestFunction.poly(dc or (0.0,)).evaluate
 
 
 def radial_smooth_limit(f: RadialTestFunction, g: RadialTestFunction,

@@ -11,8 +11,10 @@ cumulants are sums of per-eigenvalue Bernoulli cumulants,
     C_n = sum_j kappa_n(p_j),   kappa_{n+1} = p(1-p) d kappa_n/dp,
 
 each evaluated as (1-2p)^[n odd] P_n(v) with v = p(1-p) and integer
-polynomials P_n, so no high-order cancellation enters.  The route doubles
-as an independent cross-check of the exact covariance modules.  The same
+polynomials P_n, so no high-order cancellation enters.  For sectors the
+route is an independent cross-check of the angular module; the annulus
+diagonal is the radial module's count probabilities, so annulus agreement
+with the radial module is an identity, not a check.  The same
 engine with plain probability sequences covers the quaternion radial
 counts, whose moduli are independent.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import ArcWindow, _tables
-from .specfun import gamma_interval_prob
+from .radial import count_probabilities
 
 __all__ = [
     "GramOperator",
@@ -95,15 +97,9 @@ class CumulantSet:
 # ---------------------------------------------------------------------------
 
 def gram_annulus(n: int, a: float, b: float) -> GramOperator:
-    """Annulus a <= |z| <= b: diagonal with incomplete-gamma entries."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    if not (0.0 <= a <= b):
-        raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
-    s_lo = n * a * a
-    s_hi = n * b * b if math.isfinite(b) else math.inf
-    diag = np.array([gamma_interval_prob(ell + 1, s_lo, s_hi) for ell in range(n)])
-    return GramOperator(n=n, structure="diagonal", diag=diag)
+    """Annulus a <= |z| <= b: diagonal, its entries the modulus count
+    probabilities of `radial.count_probabilities`."""
+    return GramOperator(n=n, structure="diagonal", diag=count_probabilities(n, a, b))
 
 
 def gram_sector(n: int, arc: ArcWindow) -> GramOperator:

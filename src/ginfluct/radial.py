@@ -4,8 +4,15 @@ The set of squared moduli of the complex ensemble equals in law
 {s_l / N : l = 1..N} with s_l a Gamma(l) variable (sum of l unit-mean
 exponentials), the variables independent; the quaternion ensemble replaces
 s_l/N by s_{2l}/(2N).  Every mean/covariance/count formula here is a sum of
-one-dimensional gamma expectations, so results are exact up to quadrature
-error (and polynomials avoid quadrature entirely via moment recurrences).
+one-dimensional gamma expectations.
+
+Polynomials, indicators and their products are all p(r) 1{a <= r <= b}
+(a polynomial on [0, inf), 1 on [a, b], a product with convolved
+coefficients on the intersected window), and one routine returns the N
+per-factor values of E[p(r) 1{a <= r <= b}] from a moment recurrence and
+incomplete gammas, with no quadrature; the count probabilities are its
+constant-polynomial case.  Callable statistics and log-MGF tilts are
+Gauss-Legendre integrals in r against the density of the modulus.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +59,7 @@ class Ensemble(Enum):
 
 def _check_window(w: ModulusWindow) -> ModulusWindow:
     a, b = float(w[0]), float(w[1])
-    if a < 0.0 or a > b:
+    if not 0.0 <= a <= b:
         raise ValueError(f"modulus window needs 0 <= a <= b, got [{a}, {b}]")
     return (a, b)
 
@@ -81,7 +87,7 @@ class RadialTestFunction:
             if len(self.coeffs) - 1 > MAX_POLY_DEGREE:
                 raise ValueError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
         elif self.kind == "indicator":
-            if self.a < 0.0 or self.a > self.b:
+            if not 0.0 <= self.a <= self.b:
                 raise ValueError(f"indicator needs 0 <= a <= b, got [{self.a}, {self.b}]")
         elif self.kind == "callable":
             if self.fn is None:
@@ -123,34 +129,61 @@ class RadialTestFunction:
 # one-factor expectations
 # ---------------------------------------------------------------------------
 
-def _moment_table(shape: float, scale: float, jmax: int) -> list[float]:
-    """E[(s/scale)^{j/2}] for j = 0..jmax, s ~ Gamma(shape).
+def _poly_window(h: RadialTestFunction) -> tuple[tuple[float, ...], ModulusWindow]:
+    """A non-callable statistic as p(r) 1{a <= r <= b}: (coefficients, window)."""
+    if h.kind == "poly":
+        return h.coeffs, (0.0, math.inf)
+    return (1.0,), (h.a, h.b)
 
-    Even rows are rising-factorial products, odd rows hang off the single
-    half-integer start E[(s/scale)^{1/2}]; both follow the two-step
-    recurrence M(j+2) = M(j) * (shape + j/2) / scale.
+
+def _window_moments(coeffs: Sequence[float], window: ModulusWindow, n: int,
+                    ens: Ensemble) -> np.ndarray:
+    """E[p(r) 1{a <= r <= b}] for each of the N factors, p(r) = sum_j c_j r^j.
+
+    The moments M_j = E[r^j] follow M_{j+2} = M_j (k + j/2)/scale from M_0 = 1
+    and one log-gamma ratio for M_1.  Restricted to the window, M_j picks up
+    the Gamma(k + j/2) probability of [scale a^2, scale b^2], which is read as
+    flat 0 or 1 for shapes far from both edges (beyond every tolerance in the
+    package) and as 1 without any incomplete gamma for the whole half-line.
     """
-    table = [0.0] * (jmax + 1)
-    table[0] = 1.0
-    if jmax >= 1:
-        table[1] = math.exp(log_gamma(shape + 0.5) - log_gamma(shape)) / math.sqrt(scale)
-    for j in range(2, jmax + 1):
-        table[j] = table[j - 2] * (shape + 0.5 * j - 1.0) / scale
-    return table
-
-
-def _interval_moment(shape: float, scale: float, j: int, s_lo: float, s_hi: float) -> float:
-    """E[(s/scale)^{j/2} 1_{s in [s_lo, s_hi]}], s ~ Gamma(shape)."""
-    if j == 0:
-        return gamma_interval_prob(shape, s_lo, s_hi)
-    shifted = shape + 0.5 * j
-    ratio = math.exp(log_gamma(shifted) - log_gamma(shape)) / scale ** (0.5 * j)
-    return ratio * gamma_interval_prob(shifted, s_lo, s_hi)
+    scale = ens.scale(n)
+    a, b = window
+    s_lo, s_hi = scale * a * a, scale * b * b
+    shapes = [ens.shape(l) for l in range(1, n + 1)]
+    k = np.array(shapes, dtype=float)
+    moments = [np.ones(n), None]
+    if any(coeffs[1::2]):
+        moments[1] = np.array([math.exp(log_gamma(s + 0.5) - log_gamma(s))
+                               for s in shapes]) / math.sqrt(scale)
+    terms = []
+    for j, c in enumerate(coeffs):
+        if j >= 2 and moments[j % 2] is not None:
+            moments[j % 2] = moments[j % 2] * (k + 0.5 * j - 1.0) / scale
+        if c == 0.0:
+            continue
+        if s_lo == 0.0 and s_hi == math.inf:
+            terms.append(c * moments[j % 2])
+            continue
+        prob = np.zeros(n)
+        for i, s in enumerate(shapes):
+            kj = s + 0.5 * j
+            margin = 13.0 * math.sqrt(kj) + 40.0
+            if abs(kj - s_lo) <= margin or abs(kj - s_hi) <= margin:
+                prob[i] = gamma_interval_prob(kj, s_lo, s_hi)
+            elif s_lo < kj < s_hi:
+                prob[i] = 1.0
+        terms.append(c * (moments[j % 2] * prob))
+    if not terms:
+        return np.zeros(n)
+    if len(terms) == 1:
+        return terms[0]
+    return np.array([math.fsum(row) for row in np.stack(terms, axis=1).tolist()])
 
 
 def _gamma_window(shape: float) -> tuple[float, float]:
-    # CLT window k +/- 12 sqrt(k), upper end padded so small shapes keep
-    # their tail mass (exp(-40) and below is beyond every tolerance here)
+    # CLT window k +/- 12 sqrt(k) in s = scale r^2, upper end padded so small
+    # shapes keep their tail mass (exp(-40) and below is beyond every
+    # tolerance here)
     w = 12.0 * math.sqrt(shape)
     return max(0.0, shape - w), shape + w + 40.0
 
@@ -160,56 +193,37 @@ _NODES = 320
 
 
 def _gamma_integral(g: Callable[[np.ndarray, np.ndarray], np.ndarray], shape: float,
-                    left: float, right: float, breaks: Sequence[float] = ()) -> float:
-    """Integral over [left, right] of g(s, log Gamma(shape) density at s).
+                    scale: float, s_left: float, s_right: float,
+                    breaks: Sequence[float] = ()) -> float:
+    """Integral of g(r, log density of r) for r between sqrt(s/scale) at the two
+    s-ends, where scale r^2 ~ Gamma(shape).
 
-    `breaks` lists s-values (indicator edges) where the integrand jumps;
-    the range is split there so Gauss-Legendre never straddles a jump.
+    The rule runs in r, where the density 2 scale^k r^{2k-1} e^{-scale r^2}/Gamma(k)
+    and odd powers of r are smooth down to r = 0.  `breaks` lists r-values
+    (indicator edges) where the integrand jumps; the range is split there so
+    Gauss-Legendre never straddles a jump.
     """
+    left, right = math.sqrt(s_left / scale), math.sqrt(s_right / scale)
     cuts = sorted({left, right, *[b for b in breaks if left < b < right]})
-    lognorm = log_gamma(shape)
-    return panel_integrate(lambda s: g(s, (shape - 1.0) * np.log(s) - s - lognorm),
-                           zip(cuts[:-1], cuts[1:]), _NODES)
+    lognorm = math.log(2.0) + shape * math.log(scale) - log_gamma(shape)
+    return panel_integrate(
+        lambda r: g(r, (2.0 * shape - 1.0) * np.log(r) - scale * r * r + lognorm),
+        zip(cuts[:-1], cuts[1:]), _NODES)
 
 
-@lru_cache(maxsize=64)
-def _poly_product(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
-    """Coefficients of the product of two polynomials, shared by all N factors."""
-    return tuple(np.convolve(a, b).tolist())
-
-
-def _one_factor_product_mean(f: RadialTestFunction, g: RadialTestFunction,
-                             shape: float, scale: float) -> float:
-    """E[f(r) g(r)] under one gamma factor, taking the exact route available."""
-    if f.kind == "poly" and g.kind == "poly":
-        prod = _poly_product(f.coeffs, g.coeffs)
-        table = _moment_table(shape, scale, len(prod) - 1)
-        return math.fsum(c * table[j] for j, c in enumerate(prod))
-    if {f.kind, g.kind} == {"poly", "indicator"}:
-        p, ind = (f, g) if f.kind == "poly" else (g, f)
-        s_lo = scale * ind.a * ind.a
-        s_hi = scale * ind.b * ind.b if math.isfinite(ind.b) else math.inf
-        return math.fsum(
-            c * _interval_moment(shape, scale, j, s_lo, s_hi)
-            for j, c in enumerate(p.coeffs) if c != 0.0
-        )
-    if f.kind == "indicator" and g.kind == "indicator":
-        a, b = max(f.a, g.a), min(f.b, g.b)
-        if a > b:
-            return 0.0
-        return gamma_interval_prob(shape, scale * a * a, scale * b * b)
-    # at least one callable: quadrature on the product, split at any jumps
+def _callable_product_mean(f: RadialTestFunction, g: RadialTestFunction,
+                           shape: float, scale: float) -> float:
+    """E[f(r) g(r)] under one gamma factor by quadrature, split at any jumps."""
     for h in (f, g):
         if h.kind == "callable":
             _check_callable_window(h, shape, scale)
     # an infinite upper edge falls outside the window and is dropped there
-    breaks = [scale * x * x for h in (f, g) if h.kind == "indicator" for x in (h.a, h.b)]
+    breaks = [x for h in (f, g) if h.kind == "indicator" for x in (h.a, h.b)]
 
-    def integrand(s: np.ndarray, logdens: np.ndarray) -> np.ndarray:
-        r = np.sqrt(s / scale)
+    def integrand(r: np.ndarray, logdens: np.ndarray) -> np.ndarray:
         return f.evaluate(r) * g.evaluate(r) * np.exp(logdens)
 
-    return _gamma_integral(integrand, shape, *_gamma_window(shape), breaks)
+    return _gamma_integral(integrand, shape, scale, *_gamma_window(shape), breaks)
 
 
 def _check_callable_window(f: RadialTestFunction, shape: float, scale: float) -> None:
@@ -219,6 +233,19 @@ def _check_callable_window(f: RadialTestFunction, shape: float, scale: float) ->
             f"callable test function only evaluable up to r_max={f.r_max}, "
             f"but the gamma window for shape {shape} reaches r={r_needed:.3f}"
         )
+
+
+def _factor_means(f: RadialTestFunction, g: RadialTestFunction, n: int,
+                  ens: Ensemble) -> np.ndarray:
+    """E[f(r) g(r)] for each of the N gamma factors."""
+    if f.kind != "callable" and g.kind != "callable":
+        (cf, wf), (cg, wg) = _poly_window(f), _poly_window(g)
+        lo, hi = max(wf[0], wg[0]), min(wf[1], wg[1])
+        # disjoint windows meet in the empty window [lo, lo]
+        return _window_moments(np.convolve(cf, cg).tolist(), (lo, max(lo, hi)), n, ens)
+    scale = ens.scale(n)
+    return np.array([_callable_product_mean(f, g, ens.shape(l), scale)
+                     for l in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +259,7 @@ def radial_mean_exact(f: RadialTestFunction, n: int, ens: Ensemble = Ensemble.CO
     """E[X(f)] = sum_l E[f(sqrt(s/scale))]."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    scale = ens.scale(n)
-    return math.fsum(_one_factor_product_mean(f, _ONE, ens.shape(l), scale)
-                     for l in range(1, n + 1))
+    return math.fsum(_factor_means(f, _ONE, n, ens))
 
 
 def radial_cov_exact(f: RadialTestFunction, g: RadialTestFunction, n: int,
@@ -242,43 +267,16 @@ def radial_cov_exact(f: RadialTestFunction, g: RadialTestFunction, n: int,
     """Cov(X(f), X(g)) = sum_l { E[fg] - E[f] E[g] }, exact per factor."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    scale = ens.scale(n)
-    terms = []
-    for l in range(1, n + 1):
-        k = ens.shape(l)
-        terms.append(
-            _one_factor_product_mean(f, g, k, scale)
-            - _one_factor_product_mean(f, _ONE, k, scale)
-            * _one_factor_product_mean(g, _ONE, k, scale)
-        )
-    return math.fsum(terms)
+    return math.fsum(_factor_means(f, g, n, ens)
+                     - _factor_means(f, _ONE, n, ens) * _factor_means(g, _ONE, n, ens))
 
 
 def count_probabilities(n: int, a: float, b: float,
                         ens: Ensemble = Ensemble.COMPLEX) -> np.ndarray:
-    """p_k = P(modulus_k in [a, b]) for k = 1..N.
-
-    Only shapes whose gamma mass straddles an endpoint need incomplete
-    gammas; the rest are flat 0 or 1 to far beyond every tolerance in the
-    package, so they are filled directly.
-    """
+    """p_k = P(modulus_k in [a, b]) for k = 1..N: the j = 0 window moment."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    (a, b) = _check_window((a, b))
-    scale = ens.scale(n)
-    s_lo = scale * a * a
-    s_hi = scale * b * b if math.isfinite(b) else math.inf
-    p = np.zeros(n)
-    for l in range(1, n + 1):
-        k = ens.shape(l)
-        margin = 13.0 * math.sqrt(k) + 40.0
-        near_lo = abs(k - s_lo) <= margin
-        near_hi = math.isfinite(s_hi) and abs(k - s_hi) <= margin
-        if near_lo or near_hi:
-            p[l - 1] = gamma_interval_prob(k, s_lo, s_hi)
-        elif k > s_lo and k < s_hi:
-            p[l - 1] = 1.0
-    return p
+    return _window_moments((1.0,), _check_window((a, b)), n, ens)
 
 
 def radial_count_var(n: int, a: float, b: float,
@@ -331,9 +329,11 @@ def _poly_mgf_divergent(h: RadialTestFunction, lam: float, scale: float) -> bool
 def radial_log_mgf(h: RadialTestFunction, lam: float, n: int) -> float:
     """log E[exp(lam X(h))] = sum_k log E[exp(lam h(sqrt(s_k/N)))], complex ensemble.
 
-    Each factor integrates expm1(lam h) against the gamma density (log1p on
-    the way out keeps small-lam accuracy); the quadrature window extends
-    adaptively because a positive tilt shifts the gamma mass rightward.
+    An indicator factor is 1 + (e^lam - 1) p_k with p_k from
+    `count_probabilities`.  Otherwise each factor integrates expm1(lam h)
+    against the gamma density (log1p on the way out keeps small-lam
+    accuracy); the quadrature window extends adaptively because a positive
+    tilt shifts the gamma mass rightward.
     """
     if n < 1:
         raise ValueError("N must be >= 1")
@@ -343,34 +343,37 @@ def radial_log_mgf(h: RadialTestFunction, lam: float, n: int) -> float:
     if h.kind == "poly" and _poly_mgf_divergent(h, lam, scale):
         raise ValueError("E[exp(lam h)] diverges for every factor: "
                          "lam * (leading coefficient) outgrows the Gaussian weight (k=1)")
+    if h.kind == "indicator":
+        tilted = math.expm1(lam) * count_probabilities(n, h.a, h.b)
+    else:
+        tilted = [_tilted_expectation(h, lam, k, scale) for k in range(1, n + 1)]
     total = 0.0
-    for k in range(1, n + 1):
-        total += math.log1p(_tilted_expectation(h, lam, k, scale))
+    for t in tilted:
+        total += math.log1p(t)
     return total
 
 
 def _tilted_expectation(h: RadialTestFunction, lam: float, k: int, scale: float) -> float:
-    """E[expm1(lam h(sqrt(s/scale)))] with adaptive right extension."""
-    if h.kind == "indicator":
-        s_hi = scale * h.b * h.b if math.isfinite(h.b) else math.inf
-        return math.expm1(lam) * gamma_interval_prob(k, scale * h.a * h.a, s_hi)
-
-    def tilt(s: np.ndarray, logdens: np.ndarray) -> np.ndarray:
-        arg = lam * h.evaluate(np.sqrt(s / scale))
+    """E[expm1(lam h(r))] with adaptive right extension, never past a callable's r_max."""
+    def tilt(r: np.ndarray, logdens: np.ndarray) -> np.ndarray:
+        arg = lam * h.evaluate(r)
         big = arg > 50.0
         return np.where(big, np.exp(arg + logdens), np.expm1(arg) * np.exp(logdens))
 
     lo, hi = _gamma_window(k)
+    s_max = math.inf
     if h.kind == "callable":
         _check_callable_window(h, k, scale)
-    total = _gamma_integral(tilt, k, lo, hi)
+        s_max = scale * h.r_max * h.r_max
+    total = _gamma_integral(tilt, k, scale, lo, hi)
     step = hi - lo
     for _ in range(64):
-        piece = _gamma_integral(tilt, k, hi, hi + step)
-        hi += step
+        top = min(hi + step, s_max)
+        piece = _gamma_integral(tilt, k, scale, hi, top)
+        hi = top
         total += piece
         if abs(piece) < 1e-15 * max(1.0, abs(total)):
             return total
-        if h.kind == "callable" and math.sqrt((hi + step) / scale) > h.r_max:
+        if hi == s_max:
             raise ValueError(f"factor k={k}: tilted integrand still growing at r_max")
     raise ValueError(f"factor k={k}: E[exp(lam h)] does not converge (divergent tilt)")

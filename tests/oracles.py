@@ -246,3 +246,46 @@ def durand_kerner_roots(coeffs: np.ndarray, iters: int = 500,
 
 def eig_via_charpoly(a: np.ndarray) -> np.ndarray:
     return durand_kerner_roots(charpoly_coefficients(a))
+
+
+# ---------------------------------------------------------------------------
+# radial gamma-factor expectations in extended precision
+#
+# scale r^2 ~ Gamma(k) for each factor, so r has density
+# 2 scale^k r^(2k-1) e^(-scale r^2) / Gamma(k) on [0, inf).
+# ---------------------------------------------------------------------------
+
+def radial_cov_quad_mp(f, g, shapes, scale: float) -> float:
+    """sum_k E[f g] - E[f] E[g] over the factors, each expectation an mpmath
+    quadrature in r; f and g take and return mpmath numbers."""
+    with mpmath.workdps(30):
+        scale = mpmath.mpf(scale)
+        total = mpmath.mpf(0)
+        for k in shapes:
+            norm = 2 * scale ** k / mpmath.gamma(k)
+
+            def mean(h, k=k, norm=norm):
+                dens = lambda r: h(r) * norm * r ** (2 * k - 1) * mpmath.exp(-scale * r * r)
+                return mpmath.quad(dens, [0, mpmath.sqrt(k / scale), mpmath.inf])
+
+            total += mean(lambda r: f(r) * g(r)) - mean(f) * mean(g)
+        return float(total)
+
+
+def radial_poly_indicator_cov_mp(coeffs, a: float, b: float, shapes, scale: float) -> float:
+    """Cov(sum_j c_j r^j, 1{a <= r <= b}) over the factors in closed form:
+    E[r^j 1] = Gamma(k + j/2)/(Gamma(k) scale^(j/2)) P(k + j/2; scale a^2, scale b^2)."""
+    with mpmath.workdps(40):
+        scale = mpmath.mpf(scale)
+        s_lo = scale * mpmath.mpf(a) ** 2
+        s_hi = scale * mpmath.mpf(b) ** 2 if math.isfinite(b) else mpmath.inf
+        total = mpmath.mpf(0)
+        for k in shapes:
+            e_p = e_p_ind = mpmath.mpf(0)
+            for j, c in enumerate(coeffs):
+                kj = k + mpmath.mpf(j) / 2
+                moment = c * mpmath.gamma(kj) / (mpmath.gamma(k) * scale ** (mpmath.mpf(j) / 2))
+                e_p += moment
+                e_p_ind += moment * mpmath.gammainc(kj, s_lo, s_hi, regularized=True)
+            total += e_p_ind - e_p * mpmath.gammainc(k, s_lo, s_hi, regularized=True)
+        return float(total)

@@ -57,6 +57,8 @@ class TestGramAnnulus:
             gram_annulus(0, 0.1, 0.2)
         with pytest.raises(ValueError):
             gram_annulus(4, 0.5, 0.2)
+        with pytest.raises(ValueError):
+            gram_annulus(4, math.nan, 0.2)
 
     def test_diagonal_eigenvalues_are_sorted_probabilities(self):
         g = gram_annulus(20, 0.5, 0.9)

@@ -24,7 +24,7 @@ from ginfluct.radial import (
 )
 from ginfluct.specfun import gamma_interval_prob
 
-from oracles import quad4d_cov_rt
+from oracles import quad4d_cov_rt, radial_cov_quad_mp, radial_poly_indicator_cov_mp
 
 R2 = RadialTestFunction.poly([0.0, 0.0, 1.0])
 R4 = RadialTestFunction.poly([0.0, 0.0, 0.0, 0.0, 1.0])
@@ -45,6 +45,8 @@ class TestTestFunctionValidation:
             RadialTestFunction.indicator(0.8, 0.4)
         with pytest.raises(ValueError):
             RadialTestFunction.indicator(-0.1, 0.4)
+        with pytest.raises(ValueError):
+            RadialTestFunction.indicator(math.nan, 0.4)
 
     def test_callable_needs_fn_and_domain(self):
         with pytest.raises(ValueError):
@@ -158,6 +160,17 @@ class TestCovExact:
         direct = radial_count_cov(n, (0.2, 0.7), (0.5, 0.9))
         assert radial_cov_exact(f, g, n) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("ens", list(Ensemble))
+    @pytest.mark.parametrize("b", [1.1, math.inf])
+    def test_poly_indicator_against_extended_precision(self, ens, b):
+        # large N puts many half-integer shapes k + j/2 near the window edges
+        coeffs, a, n = (0.3, -1.2, 0.7, 0.25), 0.6, 256
+        ref = radial_poly_indicator_cov_mp(coeffs, a, b, [ens.shape(l) for l in range(1, n + 1)],
+                                           ens.scale(n))
+        got = radial_cov_exact(RadialTestFunction.poly(coeffs), RadialTestFunction.indicator(a, b),
+                               n, ens)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_poly_indicator_route_against_scipy_moments(self):
         # The poly x indicator path uses interval moments
         # E[(s/N)^{j/2} 1] = Gamma(k + j/2)/Gamma(k) N^{-j/2} dP(k + j/2);
@@ -242,6 +255,8 @@ class TestCountStatistics:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             radial_count_var(10, 0.8, 0.4)
+        with pytest.raises(ValueError):
+            count_probabilities(10, math.nan, 0.4)
 
     def test_probabilities_match_direct_incomplete_gamma(self):
         # the flat-fill shortcut must agree with the full computation
@@ -404,3 +419,37 @@ class TestCallableRoutes:
         lam = 0.3
         target = -0.5 * n * (n + 1) * math.log1p(-lam / n)
         assert radial_log_mgf(self.R2_FN, lam, n) == pytest.approx(target, rel=1e-10)
+
+    def test_odd_powers_against_extended_precision(self):
+        # odd powers of r are smooth in r but not in s = N r^2
+        import mpmath
+
+        cubic = (0.3, -1.2, 0.7, 0.25)
+        f = RadialTestFunction.from_callable(lambda r: np.cos(3.0 * r))
+        n = 16
+        ref = radial_cov_quad_mp(lambda r: mpmath.cos(3 * r),
+                                 lambda r: sum(c * r ** j for j, c in enumerate(cubic)),
+                                 range(1, n + 1), n)
+        got = radial_cov_exact(f, RadialTestFunction.poly(cubic), n)
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_odd_power_mean_against_extended_precision(self):
+        import mpmath
+
+        h = RadialTestFunction.from_callable(lambda r: np.exp(-r) * r**3, r_max=8.0)
+        with mpmath.workdps(30):
+            ref = float(mpmath.quad(lambda r: mpmath.exp(-r) * r**3 * 2 * r * mpmath.exp(-r * r),
+                                    [0, 1, mpmath.inf]))
+        assert radial_mean_exact(h, 1) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_log_mgf_tilt_stays_inside_r_max(self):
+        seen = []
+
+        def square(r):
+            seen.append(float(np.max(r)))
+            return r * r
+
+        n, lam = 8, 0.3
+        got = radial_log_mgf(RadialTestFunction.from_callable(square, r_max=4.0), lam, n)
+        assert max(seen) <= 4.0
+        assert got == pytest.approx(-0.5 * n * (n + 1) * math.log1p(-lam / n), rel=1e-10)
