@@ -66,13 +66,9 @@ def _tables(size: int) -> tuple[np.ndarray, np.ndarray]:
     global _lgf, _lgh, _table_size
     if size > _table_size:
         new = max(size, 2 * _table_size, 64)
-        lgf = np.empty(new)
-        lgh = np.empty(new)
-        for j in range(new):
-            lgf[j] = log_gamma(j + 1.0)
+        lgf = log_gamma(np.arange(1.0, new + 1.0))
+        lgh = log_gamma(0.5 * np.arange(new) + 1.0)
         lgh[0::2] = lgf[: (new + 1) // 2]
-        for s in range(1, new, 2):
-            lgh[s] = log_gamma(0.5 * s + 1.0)
         _lgf, _lgh, _table_size = lgf, lgh, new
     return _lgf, _lgh
 

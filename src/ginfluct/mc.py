@@ -122,7 +122,7 @@ def save_batch_csv(batch: SampleBatch, path) -> None:
 def _gamma_blocks(gen: np.random.Generator, n: int, ens: Ensemble, size: int):
     """Yield (lo, hi, block): replicas lo..hi-1 of the N gamma variables
     s_1..s_N, drawn in chunks of at most _CHUNK_ELEMENTS entries."""
-    shapes = np.array([ens.shape(ell) for ell in range(1, n + 1)], dtype=float)
+    shapes = ens.shape(np.arange(1.0, n + 1.0))
     step = max(1, _CHUNK_ELEMENTS // n)
     for lo in range(0, size, step):
         hi = min(lo + step, size)

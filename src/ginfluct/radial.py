@@ -10,9 +10,9 @@ Polynomials, indicators and their products are all p(r) 1{a <= r <= b}
 (a polynomial on [0, inf), 1 on [a, b], a product with convolved
 coefficients on the intersected window), and one routine returns the N
 per-factor values of E[p(r) 1{a <= r <= b}] from a moment recurrence and
-incomplete gammas, with no quadrature; the count probabilities are its
-constant-polynomial case.  Callable statistics and log-MGF tilts are
-Gauss-Legendre integrals in r against the density of the modulus.
+one incomplete-gamma ladder call per term, with no quadrature; the count
+probabilities are its constant-polynomial case.  Callable statistics and
+log-MGF tilts are Gauss-Legendre integrals in r against the modulus density.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .specfun import gamma_interval_prob, log_gamma, panel_integrate
+from .specfun import _stirling_tail, gamma_interval_prob, log_gamma, panel_integrate
 
 __all__ = [
     "Ensemble",
@@ -48,8 +48,8 @@ class Ensemble(Enum):
     COMPLEX = "complex"
     QUATERNION = "quaternion"
 
-    def shape(self, l: int) -> int:
-        """Gamma shape of the l-th modulus factor."""
+    def shape(self, l):
+        """Gamma shape of the l-th modulus factor (elementwise for an array of l)."""
         return l if self is Ensemble.COMPLEX else 2 * l
 
     def scale(self, n: int) -> float:
@@ -140,39 +140,30 @@ def _window_moments(coeffs: Sequence[float], window: ModulusWindow, n: int,
                     ens: Ensemble) -> np.ndarray:
     """E[p(r) 1{a <= r <= b}] for each of the N factors, p(r) = sum_j c_j r^j.
 
-    The moments M_j = E[r^j] follow M_{j+2} = M_j (k + j/2)/scale from M_0 = 1
-    and one log-gamma ratio for M_1.  Restricted to the window, M_j picks up
-    the Gamma(k + j/2) probability of [scale a^2, scale b^2], which is read as
-    flat 0 or 1 for shapes far from both edges (beyond every tolerance in the
-    package) and as 1 without any incomplete gamma for the whole half-line.
+    The moments M_j = E[r^j] follow M_{j+2} = M_j (k + j/2)/scale from M_0 = 1 and
+    M_1 = Gamma(k + 1/2)/(Gamma(k) sqrt(scale)), in Stirling's collapsed form from
+    k = 30 on (a log-gamma difference loses k ln k eps).  In the window, M_j picks
+    up the Gamma(k + j/2) probability of [scale a^2, scale b^2], one call per j on
+    the unit ladder of shapes k + j/2 (quaternion shapes are every other rung).
     """
     scale = ens.scale(n)
     a, b = window
     s_lo, s_hi = scale * a * a, scale * b * b
-    shapes = [ens.shape(l) for l in range(1, n + 1)]
-    k = np.array(shapes, dtype=float)
+    k = ens.shape(np.arange(1.0, n + 1.0))
+    rungs = np.arange(k[0], k[-1] + 1.0)
     moments = [np.ones(n), None]
     if any(coeffs[1::2]):
-        moments[1] = np.array([math.exp(log_gamma(s + 0.5) - log_gamma(s))
-                               for s in shapes]) / math.sqrt(scale)
+        log_ratio = np.where(k < 30.0, log_gamma(k + 0.5) - log_gamma(k),
+                             0.5 * np.log(k) + (k * np.log1p(0.5 / k) - 0.5)
+                             + _stirling_tail(k + 0.5) - _stirling_tail(k))
+        moments[1] = np.exp(log_ratio) / math.sqrt(scale)
     terms = []
     for j, c in enumerate(coeffs):
         if j >= 2 and moments[j % 2] is not None:
             moments[j % 2] = moments[j % 2] * (k + 0.5 * j - 1.0) / scale
-        if c == 0.0:
-            continue
-        if s_lo == 0.0 and s_hi == math.inf:
-            terms.append(c * moments[j % 2])
-            continue
-        prob = np.zeros(n)
-        for i, s in enumerate(shapes):
-            kj = s + 0.5 * j
-            margin = 13.0 * math.sqrt(kj) + 40.0
-            if abs(kj - s_lo) <= margin or abs(kj - s_hi) <= margin:
-                prob[i] = gamma_interval_prob(kj, s_lo, s_hi)
-            elif s_lo < kj < s_hi:
-                prob[i] = 1.0
-        terms.append(c * (moments[j % 2] * prob))
+        if c != 0.0:
+            prob = gamma_interval_prob(rungs + 0.5 * j, s_lo, s_hi)[::ens.shape(1)]
+            terms.append(c * (moments[j % 2] * prob))
     if not terms:
         return np.zeros(n)
     if len(terms) == 1:
@@ -284,9 +275,6 @@ def radial_count_var(n: int, a: float, b: float,
     """Var #{moduli in [a, b]} = sum_k p_k (1 - p_k)."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    _check_window((a, b))
-    if a == b:
-        return 0.0
     p = count_probabilities(n, a, b, ens)
     return math.fsum(p * (1.0 - p))
 
@@ -302,11 +290,8 @@ def radial_count_cov(n: int, w1: ModulusWindow, w2: ModulusWindow,
     p1 = count_probabilities(n, *w1, ens)
     p2 = count_probabilities(n, *w2, ens)
     lo, hi = max(w1[0], w2[0]), min(w1[1], w2[1])
-    if lo < hi:
-        pint = count_probabilities(n, lo, hi, ens)
-    else:
-        pint = np.zeros(n)
-    return math.fsum(pint - p1 * p2)
+    # disjoint windows meet in the empty window [lo, lo]
+    return math.fsum(count_probabilities(n, lo, max(lo, hi), ens) - p1 * p2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginfluct import angular
 from ginfluct.angular import (
     MAX_BAND,
     ArcWindow,
@@ -288,6 +289,37 @@ class TestDiagonalSums:
         # the partial rows below n/2 are bitwise prefixes of the cached row
         for dmax in range(n // 2):
             assert np.array_equal(_diagonal_sums(n, dmax), row[: dmax + 1])
+
+
+class TestTables:
+    def _reset(self, monkeypatch):
+        monkeypatch.setattr(angular, "_lgf", np.zeros(1))
+        monkeypatch.setattr(angular, "_lgh", np.zeros(1))
+        monkeypatch.setattr(angular, "_table_size", 0)
+
+    def test_growth_is_history_free(self, monkeypatch):
+        # tables grown through several sizes equal tables built at once, bit for bit
+        self._reset(monkeypatch)
+        for size in (10, 100, 3000, 20_480):
+            lgf, lgh = angular._tables(size)
+        stepped = lgf.copy(), lgh.copy()
+        self._reset(monkeypatch)
+        once = angular._tables(len(stepped[0]))
+        for a, b in zip(stepped, once):
+            assert len(a) == len(b) >= 20_480
+            assert np.array_equal(a, b)
+
+    def test_half_integer_table_copies_factorials_bitwise(self, monkeypatch):
+        # the decomposition identity rests on lgh[2j] being lgf[j] exactly
+        self._reset(monkeypatch)
+        lgf, lgh = angular._tables(5000)
+        assert np.array_equal(lgh[0::2], lgf[: (len(lgh) + 1) // 2])
+        np.testing.assert_allclose(lgf[[0, 1, 10, 170, 4999]],
+                                   [math.lgamma(j + 1.0) for j in (0, 1, 10, 170, 4999)],
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(lgh[[1, 3, 41, 4999]],
+                                   [math.lgamma(0.5 * s + 1.0) for s in (1, 3, 41, 4999)],
+                                   rtol=1e-14, atol=1e-15)
 
 
 class TestCovExact:

@@ -39,7 +39,7 @@ class TestGramAnnulus:
         g = gram_annulus(16, 0.0, math.inf)
         assert g.structure == "diagonal"
         np.testing.assert_allclose(g.diag, 1.0, rtol=0.0, atol=1e-14)
-        assert g.trace() == pytest.approx(16.0, rel=1e-14)
+        assert g.trace() == pytest.approx(16.0, rel=1e-14, abs=0.0)
 
     def test_entries_match_radial_probabilities(self):
         n, a, b = 64, 0.4, 0.8
@@ -75,7 +75,7 @@ class TestGramSector:
     def test_trace_counts_mean(self):
         arc = ArcWindow(-0.4, 1.0)
         g = gram_sector(40, arc)
-        assert g.trace() == pytest.approx(40.0 * arc.length / (2.0 * math.pi), rel=1e-12)
+        assert g.trace() == pytest.approx(40.0 * arc.length / (2.0 * math.pi), rel=1e-12, abs=0.0)
 
     def test_hermitian(self):
         g = gram_sector(24, ArcWindow(-1.2, 0.3))
@@ -85,7 +85,7 @@ class TestGramSector:
         n = 128
         arc = ArcWindow.symmetric(math.pi / 2.0)
         cs = cumulants_from_gram(gram_sector(n, arc), 2)
-        assert cs.cumulant(2) == pytest.approx(angular_count_var(n, arc), rel=1e-8)
+        assert cs.cumulant(2) == pytest.approx(angular_count_var(n, arc), rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_spectrum_in_unit_interval(self, n):
@@ -101,12 +101,12 @@ class TestGramSector:
         for k in range(1, 5):
             m = m @ g.matrix
             ref = (-1.0) ** (k - 1) * math.factorial(k - 1) * float(np.trace(m).real)
-            assert cs.cluster(k) == pytest.approx(ref, rel=1e-12)
+            assert cs.cluster(k) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_single_point_sector(self):
         arc = ArcWindow(-0.2, 0.9)
         g = gram_sector(1, arc)
-        assert g.matrix[0, 0] == pytest.approx(arc.length / (2.0 * math.pi), rel=1e-13)
+        assert g.matrix[0, 0] == pytest.approx(arc.length / (2.0 * math.pi), rel=1e-13, abs=0.0)
 
 
 class TestQuaternionProbabilities:
@@ -135,12 +135,12 @@ class TestCumulants:
     def test_low_order_identities(self):
         p = np.array([0.1, 0.35, 0.8, 0.99])
         cs = cumulants_permanental(p, 4)
-        assert cs.cumulant(1) == pytest.approx(float(p.sum()), rel=1e-14)
-        assert cs.cumulant(2) == pytest.approx(float((p * (1 - p)).sum()), rel=1e-13)
+        assert cs.cumulant(1) == pytest.approx(float(p.sum()), rel=1e-14, abs=0.0)
+        assert cs.cumulant(2) == pytest.approx(float((p * (1 - p)).sum()), rel=1e-13, abs=0.0)
         assert cs.cumulant(3) == pytest.approx(
-            float((p * (1 - p) * (1 - 2 * p)).sum()), rel=1e-12)
+            float((p * (1 - p) * (1 - 2 * p)).sum()), rel=1e-12, abs=0.0)
         assert cs.cumulant(4) == pytest.approx(
-            float((p * (1 - p) * (1 - 6 * p + 6 * p * p)).sum()), rel=1e-11)
+            float((p * (1 - p) * (1 - 6 * p + 6 * p * p)).sum()), rel=1e-11, abs=0.0)
 
     def test_symmetric_bernoulli_has_no_skew(self):
         cs = cumulants_permanental([0.5], 3)
@@ -148,7 +148,7 @@ class TestCumulants:
 
     def test_simple_variance_example(self):
         cs = cumulants_permanental([0.2, 0.7], 2)
-        assert cs.cumulant(2) == pytest.approx(0.37, rel=1e-13)
+        assert cs.cumulant(2) == pytest.approx(0.37, rel=1e-13, abs=0.0)
 
     def test_against_exact_enumeration(self):
         # brute-force pmf of the Bernoulli sum, then moments -> cumulants
@@ -182,7 +182,7 @@ class TestCumulants:
         a = cumulants_from_gram(dense, 6)
         b = cumulants_permanental(p, 6)
         for order in range(1, 7):
-            assert a.cumulant(order) == pytest.approx(b.cumulant(order), rel=1e-12)
+            assert a.cumulant(order) == pytest.approx(b.cumulant(order), rel=1e-12, abs=0.0)
 
     def test_unknown_structure_rejected(self):
         with pytest.raises(ValueError):
@@ -193,8 +193,8 @@ class TestCumulants:
         arc = ArcWindow.symmetric(1.1)
         cs = cumulants_from_gram(gram_sector(n, arc), 2)
         assert cs.cumulant(1) == pytest.approx(
-            n * arc.length / (2.0 * math.pi), rel=1e-12)
-        assert cs.cumulant(2) == pytest.approx(angular_count_var(n, arc), rel=1e-9)
+            n * arc.length / (2.0 * math.pi), rel=1e-12, abs=0.0)
+        assert cs.cumulant(2) == pytest.approx(angular_count_var(n, arc), rel=1e-9, abs=0.0)
 
     def test_out_of_range_order_lookup(self):
         cs = cumulants_permanental([0.5], 3)

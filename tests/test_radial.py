@@ -8,6 +8,7 @@ gamma sums, and closed-form gamma moments.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,15 +72,28 @@ class TestMeanExact:
         one = RadialTestFunction.poly([1.0])
         for n in (1, 7, 64):
             for ens in Ensemble:
-                assert radial_mean_exact(one, n, ens) == pytest.approx(n, rel=1e-13)
+                assert radial_mean_exact(one, n, ens) == pytest.approx(n, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 10, 137])
     def test_r_squared_mean(self, n):
         # E sum r^2 = sum l/N = (N+1)/2 for both ensembles
-        assert radial_mean_exact(R2, n) == pytest.approx((n + 1) / 2.0, rel=1e-13)
+        assert radial_mean_exact(R2, n) == pytest.approx((n + 1) / 2.0, rel=1e-13, abs=0.0)
         assert radial_mean_exact(R2, n, Ensemble.QUATERNION) == pytest.approx(
-            (n + 1) / 2.0, rel=1e-13
+            (n + 1) / 2.0, rel=1e-13, abs=0.0
         )
+
+    @pytest.mark.parametrize("ens", list(Ensemble))
+    def test_mean_modulus_against_extended_precision(self, ens):
+        # M_1 = Gamma(k + 1/2)/(Gamma(k) sqrt(scale)) summed over N = 10^4
+        # factors; a difference of two log-gammas of size k ln k would lose
+        # about 1e-13 here
+        n = 10_000
+        with mpmath.workdps(40):
+            ref = mpmath.fsum(mpmath.exp(mpmath.loggamma(ens.shape(l) + mpmath.mpf(0.5))
+                                         - mpmath.loggamma(ens.shape(l)))
+                              for l in range(1, n + 1)) / mpmath.sqrt(ens.scale(n))
+        got = radial_mean_exact(RadialTestFunction.poly([0.0, 1.0]), n, ens)
+        assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
     def test_indicator_mean_is_gamma_sum(self):
         n = 50
@@ -87,7 +101,7 @@ class TestMeanExact:
         direct = math.fsum(
             gamma_interval_prob(k, n * 0.16, n * 0.64) for k in range(1, n + 1)
         )
-        assert got == pytest.approx(direct, rel=1e-13)
+        assert got == pytest.approx(direct, rel=1e-13, abs=0.0)
 
     def test_indicator_mean_against_monte_carlo(self):
         # 10^6 independent draws of the 50 gamma sums, 3-sigma agreement
@@ -106,7 +120,7 @@ class TestMeanExact:
         f = RadialTestFunction.from_callable(lambda r: r**2, r_max=8.0)
         for n in (1, 5, 40):
             got = radial_mean_exact(f, n)
-            assert got == pytest.approx((n + 1) / 2.0, rel=1e-9)
+            assert got == pytest.approx((n + 1) / 2.0, rel=1e-9, abs=0.0)
 
     def test_unevaluable_callable_domain_raises(self):
         f = RadialTestFunction.from_callable(lambda r: r, r_max=2.0)
@@ -126,16 +140,16 @@ class TestCovExact:
 
     def test_variance_of_r_squared(self):
         # Var(Gamma(l)) = l, so Var sum r^2 = sum l / N^2 = (N+1)/(2N)
-        assert radial_cov_exact(R2, R2, 10) == pytest.approx(0.55, rel=1e-13)
+        assert radial_cov_exact(R2, R2, 10) == pytest.approx(0.55, rel=1e-13, abs=0.0)
 
     def test_mixed_moment_example(self):
         # E s^3 = l(l+1)(l+2) gives Cov(r^2, r^4) = sum 2l(l+1)/N^3
-        assert radial_cov_exact(R2, R4, 2) == pytest.approx(2.0, rel=1e-13)
+        assert radial_cov_exact(R2, R4, 2) == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
     def test_quaternion_variance_halves(self):
         # Var(Gamma(2l)/(2N)) = 2l/(2N)^2 -> (N+1)/(4N)
         got = radial_cov_exact(R2, R2, 10, Ensemble.QUATERNION)
-        assert got == pytest.approx(0.275, rel=1e-13)
+        assert got == pytest.approx(0.275, rel=1e-13, abs=0.0)
 
     def test_symmetry(self):
         assert radial_cov_exact(R2, R4, 7) == radial_cov_exact(R4, R2, 7)
@@ -145,12 +159,12 @@ class TestCovExact:
         # brute-force kernel quadrature on the plane, different primitives
         got = radial_cov_exact(R2, R2, n)
         oracle = quad4d_cov_rt(lambda r, t: r**2, lambda r, t: r**2, n, r_nodes=160)
-        assert got == pytest.approx(oracle, rel=1e-12)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_mixed_pair_against_planar_oracle(self):
         got = radial_cov_exact(R2, R4, 2)
         oracle = quad4d_cov_rt(lambda r, t: r**2, lambda r, t: r**4, 2, r_nodes=160)
-        assert got == pytest.approx(oracle, rel=1e-12)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_indicator_pair_routes(self):
         # indicator x indicator = probability of the intersection window
@@ -158,7 +172,7 @@ class TestCovExact:
         g = RadialTestFunction.indicator(0.5, 0.9)
         n = 30
         direct = radial_count_cov(n, (0.2, 0.7), (0.5, 0.9))
-        assert radial_cov_exact(f, g, n) == pytest.approx(direct, rel=1e-12)
+        assert radial_cov_exact(f, g, n) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("ens", list(Ensemble))
     @pytest.mark.parametrize("b", [1.1, math.inf])
@@ -200,7 +214,7 @@ class TestCovExact:
                     for j, c in coeffs.items()
                 )
                 total += e_f_ind - e_f * dp
-            assert radial_cov_exact(f, ind, n) == pytest.approx(total, rel=1e-11)
+            assert radial_cov_exact(f, ind, n) == pytest.approx(total, rel=1e-11, abs=0.0)
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -259,7 +273,7 @@ class TestCountStatistics:
             count_probabilities(10, math.nan, 0.4)
 
     def test_probabilities_match_direct_incomplete_gamma(self):
-        # the flat-fill shortcut must agree with the full computation
+        # one ladder call over all factors against one scalar call per shape
         for n, (a, b) in ((60, (0.9, 1.1)), (200, (0.0, 0.5)), (35, (0.3, math.inf))):
             p = count_probabilities(n, a, b)
             s_hi = n * b * b if math.isfinite(b) else math.inf
@@ -267,6 +281,21 @@ class TestCountStatistics:
                 gamma_interval_prob(k, n * a * a, s_hi) for k in range(1, n + 1)
             ]
             np.testing.assert_allclose(p, direct, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    @pytest.mark.parametrize("ens", list(Ensemble))
+    def test_edges_against_extended_precision(self, n, ens):
+        # the shapes nearest both window edges carry all of the variance
+        a, b = 0.4, 0.8
+        scale = ens.scale(n)
+        s_lo, s_hi = scale * a * a, scale * b * b
+        p = count_probabilities(n, a, b, ens)
+        with mpmath.workdps(40):
+            for edge in (s_lo, s_hi):
+                for z in (-6.0, -2.0, -0.5, 0.0, 0.5, 2.0, 6.0):
+                    l = round((edge + z * math.sqrt(edge)) / ens.shape(1))
+                    ref = mpmath.gammainc(ens.shape(l), s_lo, s_hi, regularized=True)
+                    assert abs(p[l - 1] - float(ref)) <= 1e-13, (edge, z, l)
 
     def test_quaternion_probabilities_use_doubled_shapes(self):
         n, a, b = 25, 0.5, 0.9
@@ -322,7 +351,7 @@ class TestCountStatistics:
         assert abs(v400) <= 1e-6
         for big, small in ((v200, v400), (v400, v800)):
             assert math.log(abs(small)) / math.log(abs(big)) == pytest.approx(
-                2.0, rel=0.1
+                2.0, rel=0.1, abs=0.0
             )
 
     def test_abutting_windows_anticorrelate_at_sqrt_n(self):
@@ -348,13 +377,13 @@ class TestLogMgf:
     def test_r_squared_closed_form(self):
         # E exp(lam s_k/N) = (1 - lam/N)^{-k}; N=2, lam=1 -> 3 ln 2
         got = radial_log_mgf(R2, 1.0, 2)
-        assert got == pytest.approx(3.0 * math.log(2.0), rel=1e-10)
+        assert got == pytest.approx(3.0 * math.log(2.0), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("lam", [-0.7, 0.3])
     def test_r_squared_closed_form_general(self, lam):
         n = 4
         target = -sum(k * math.log(1.0 - lam / n) for k in range(1, n + 1))
-        assert radial_log_mgf(R2, lam, n) == pytest.approx(target, rel=1e-10)
+        assert radial_log_mgf(R2, lam, n) == pytest.approx(target, rel=1e-10, abs=0.0)
 
     def test_indicator_closed_form(self):
         # E exp(lam 1_A) = 1 + (e^lam - 1) p_k
@@ -362,7 +391,7 @@ class TestLogMgf:
         f = RadialTestFunction.indicator(0.4, 1.0)
         p = count_probabilities(n, 0.4, 1.0)
         target = math.fsum(math.log1p(math.expm1(lam) * pk) for pk in p)
-        assert radial_log_mgf(f, lam, n) == pytest.approx(target, rel=1e-12)
+        assert radial_log_mgf(f, lam, n) == pytest.approx(target, rel=1e-12, abs=0.0)
 
     def test_second_derivative_is_variance(self):
         # central difference at 0 with step 1e-4, consistency <= 1e-5 relative
@@ -373,7 +402,7 @@ class TestLogMgf:
                 - 2.0 * radial_log_mgf(f, 0.0, n)
                 + radial_log_mgf(f, -h, n)
             ) / (h * h)
-            assert num == pytest.approx(radial_cov_exact(f, f, n), rel=1e-5)
+            assert num == pytest.approx(radial_cov_exact(f, f, n), rel=1e-5, abs=0.0)
 
     def test_first_derivative_is_mean(self):
         # step large enough that quadrature noise (~1e-12 per factor) does
@@ -382,7 +411,7 @@ class TestLogMgf:
         f = RadialTestFunction.poly([0.0, 1.0])
         n = 4
         num = (radial_log_mgf(f, h, n) - radial_log_mgf(f, -h, n)) / (2.0 * h)
-        assert num == pytest.approx(radial_mean_exact(f, n), rel=1e-6)
+        assert num == pytest.approx(radial_mean_exact(f, n), rel=1e-6, abs=0.0)
 
     def test_divergent_tilt_names_offending_factor(self):
         with pytest.raises(ValueError, match="k=1"):
@@ -404,7 +433,7 @@ class TestCallableRoutes:
     @pytest.mark.parametrize("n", [1, 8, 24])
     def test_callable_pair_against_polynomial(self, n, ens):
         got = radial_cov_exact(self.R2_FN, self.R2_FN, n, ens)
-        assert got == pytest.approx(radial_cov_exact(R2, R2, n, ens), rel=1e-10)
+        assert got == pytest.approx(radial_cov_exact(R2, R2, n, ens), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("b", [0.8, math.inf])
     @pytest.mark.parametrize("ens", list(Ensemble))
@@ -412,13 +441,13 @@ class TestCallableRoutes:
     def test_callable_indicator_against_polynomial_indicator(self, n, ens, b):
         ind = RadialTestFunction.indicator(0.4, b)
         got = radial_cov_exact(self.R2_FN, ind, n, ens)
-        assert got == pytest.approx(radial_cov_exact(R2, ind, n, ens), rel=1e-10)
+        assert got == pytest.approx(radial_cov_exact(R2, ind, n, ens), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 8, 24])
     def test_callable_log_mgf_closed_form(self, n):
         lam = 0.3
         target = -0.5 * n * (n + 1) * math.log1p(-lam / n)
-        assert radial_log_mgf(self.R2_FN, lam, n) == pytest.approx(target, rel=1e-10)
+        assert radial_log_mgf(self.R2_FN, lam, n) == pytest.approx(target, rel=1e-10, abs=0.0)
 
     def test_odd_powers_against_extended_precision(self):
         # odd powers of r are smooth in r but not in s = N r^2
@@ -452,4 +481,4 @@ class TestCallableRoutes:
         n, lam = 8, 0.3
         got = radial_log_mgf(RadialTestFunction.from_callable(square, r_max=4.0), lam, n)
         assert max(seen) <= 4.0
-        assert got == pytest.approx(-0.5 * n * (n + 1) * math.log1p(-lam / n), rel=1e-10)
+        assert got == pytest.approx(-0.5 * n * (n + 1) * math.log1p(-lam / n), rel=1e-10, abs=0.0)

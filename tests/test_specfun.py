@@ -20,14 +20,14 @@ class TestLogGamma:
         assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14, abs=0.0)
 
     def test_log_domain_survives_gamma_overflow(self):
         # extended-precision sum of ln k
         target = float(mpmath.fsum(mpmath.log(k) for k in range(1, 171)))
         val = log_gamma(171.0)
         assert math.isfinite(val)
-        assert val == pytest.approx(target, rel=1e-14)
+        assert val == pytest.approx(target, rel=1e-14, abs=0.0)
         # Gamma(171) = 170! ~ 7.3e306 still fits in a double; 171! does not.
         assert math.isfinite(math.exp(val))
         assert math.isfinite(log_gamma(172.0))
@@ -55,6 +55,18 @@ class TestLogGamma:
         rhs = log_gamma(x) + math.log(x)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
+    def test_array_matches_scalar(self):
+        # same Lanczos/Stirling split; np.log may differ from math.log in the last bit
+        x = np.concatenate([np.geomspace(0.5, 1e6, 2000), 0.5 * np.arange(1, 400), [19.999, 20.0]])
+        got = log_gamma(x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, [log_gamma(float(v)) for v in x], rtol=2e-15, atol=1e-15)
+
+    def test_scalar_stays_a_float_and_arrays_are_checked(self):
+        assert type(log_gamma(3.5)) is float
+        with pytest.raises(ValueError):
+            log_gamma(np.array([1.0, 0.0, 2.0]))
+
     def test_factorials_to_20(self):
         # Exponentiating a rounded log cannot hit every factorial to the last
         # ulp (even exp(log(float(n!))) misses for most n), so the honest
@@ -62,7 +74,7 @@ class TestLogGamma:
         # the spacing of doubles leaves room.
         for n in range(0, 21):
             via = math.exp(log_gamma(n + 1.0))
-            assert via == pytest.approx(float(math.factorial(n)), rel=1e-13)
+            assert via == pytest.approx(float(math.factorial(n)), rel=1e-13, abs=0.0)
         for n in range(0, 13):
             assert round(math.exp(log_gamma(n + 1.0))) == math.factorial(n)
 
@@ -113,7 +125,8 @@ class TestGammaIntervalProb:
             assert gamma_interval_prob(k, 0.0, math.inf) == pytest.approx(1.0, abs=1e-14)
 
     def test_exponential_unit_interval(self):
-        assert gamma_interval_prob(1, 0.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
+        assert gamma_interval_prob(1, 0.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0),
+                                                                 rel=1e-13, abs=0.0)
 
     def test_four_exponentials_against_scipy(self):
         target = float(sps.gammainc(4, 6.0) - sps.gammainc(4, 2.0))
@@ -130,6 +143,41 @@ class TestGammaIntervalProb:
         assert gamma_interval_prob(3, 2.0, 2.0) == 0.0
         with pytest.raises(ValueError):
             gamma_interval_prob(3, 2.0, 1.0)
+        with pytest.raises(ValueError):
+            gamma_interval_prob(0.0, 0.0, math.inf)
+
+    @pytest.mark.parametrize("base, size", [(1.0, 1), (1.0, 300), (0.5, 300), (2.5, 41),
+                                            (30.5, 120), (0.25, 80)])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, math.inf), (16.0, 64.0),
+                                        (40.0, math.inf), (100.0, 100.0), (3.0, 250.0)])
+    def test_ladder_matches_scalar_calls(self, base, size, lo, hi):
+        shapes = base + np.arange(size, dtype=float)
+        got = gamma_interval_prob(shapes, lo, hi)
+        assert isinstance(got, np.ndarray) and got.shape == shapes.shape
+        scalar = [gamma_interval_prob(float(k), lo, hi) for k in shapes]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_allclose(got, scalar, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("shapes", [np.arange(2.0, 20.0, 2.0), np.arange(5.0, 0.0, -1.0),
+                                        np.array([1.0, 2.0, 3.5]), np.ones((2, 3)),
+                                        np.arange(-1.0, 3.0), np.array([]),
+                                        np.array([1.0, np.nan, 3.0])])
+    def test_rejects_shapes_off_a_unit_ladder(self, shapes):
+        with pytest.raises(ValueError):
+            gamma_interval_prob(shapes, 1.0, 2.0)
+
+    def test_half_integer_ladder_against_extended_precision(self):
+        # shapes 1/2, 3/2, ... up to 2 * 10^4 across a window whose edges sit
+        # deep inside the ladder
+        shapes = 0.5 + np.arange(20_000, dtype=float)
+        lo, hi = 2500.0, 12_000.0
+        got = gamma_interval_prob(shapes, lo, hi)
+        with mpmath.workdps(40):
+            for edge in (lo, hi):
+                for z in (-6.0, -2.0, -0.5, 0.0, 0.5, 2.0, 6.0):
+                    i = round(edge + z * math.sqrt(edge))
+                    ref = mpmath.gammainc(mpmath.mpf(shapes[i]), lo, hi, regularized=True)
+                    assert abs(got[i] - float(ref)) <= 1e-13, (edge, z)
 
     @given(st.integers(min_value=1, max_value=200),
            st.floats(min_value=0.0, max_value=400.0),
@@ -172,7 +220,7 @@ class TestLegendreRule:
     def test_weights_and_nodes(self):
         rule = legendre_rule(9, -2.0, 5.0)
         assert isinstance(rule, QuadratureRule)
-        assert np.sum(rule.weights) == pytest.approx(7.0, rel=1e-14)
+        assert np.sum(rule.weights) == pytest.approx(7.0, rel=1e-14, abs=0.0)
         assert np.all(np.diff(rule.nodes) > 0)
         assert rule.nodes[0] > -2.0 and rule.nodes[-1] < 5.0
 
@@ -217,7 +265,7 @@ class TestReferenceRuleCache:
         first.weights[:] = -1.0
         second = legendre_rule(24, 0.0, 1.0)
         np.testing.assert_array_equal(second.nodes, expected)
-        assert np.sum(second.weights) == pytest.approx(1.0, rel=1e-14)
+        assert np.sum(second.weights) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_one_build_per_node_count(self, monkeypatch):
         builds = []
