@@ -8,10 +8,12 @@ fhat(k) = (1/2pi) int e^{-ik theta} f(theta) dtheta, and for phi = f * g~
 phihat(k).
 
 The exact covariance is  N phi(0) - sum_{0<=k,l<N} Gamma((k+l)/2+1)^2
-phihat(k-l) / (k! l!).  Regrouping the double sum along k+l produces the
-C_l kernel decomposition; counting statistics feed arc-indicator
-coefficients through the same machinery (their infinite Fourier tail enters
-only via phi(0), which is known in closed form, so counts are exact).
+phihat(k-l) / (k! l!), summed along each diagonal d = |k-l| with factors
+taken by exact rational steps.  Regrouping the double sum along k+l gives
+the C_l kernel decomposition, read off the same diagonals; counting
+statistics feed arc-indicator coefficients through the same machinery
+(their infinite Fourier tail enters only via phi(0), which is known in
+closed form, so counts are exact).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .specfun import log_gamma
+from .specfun import _half_step_log_ratio, log_gamma
 
 __all__ = [
     "FourierStatistic",
@@ -48,29 +50,31 @@ LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
-# log-gamma tables
+# Gamma ratios by exact rational steps
 #
-# Both the double sum and the regrouped kernel form are assembled from the
-# same table entries (lgf[j] = ln j!, lgh[s] = ln Gamma(s/2+1), with
-# lgh[2j] copied bitwise from lgf[j]); the decomposition identity then holds
-# to machine precision because the two routes multiply identical factors.
+# Every factor of the double sum and of the kernel is t(j, d) =
+# Gamma(j + d/2 + 1)^2 / ((j + d)! j!) <= 1.  Gamma(z + 1) = z Gamma(z) makes
+# t(j, d) / t(j, d - 2) = (j + d/2)^2 / ((j + d - 1)(j + d)) an exact rational,
+# so every t follows from t(j, 0) = 1 and t(j, 1) by rounded products, with no
+# difference of large log-gamma values.
 # ---------------------------------------------------------------------------
 
-_lgf = np.zeros(1)
-_lgh = np.zeros(1)
-_table_size = 0  # number of valid entries (indices 0.._table_size-1)
+def _t1(j):
+    """t(j, 1) = (Gamma(j + 3/2) / Gamma(j + 1))^2 / (j + 1), elementwise."""
+    return np.exp(2.0 * _half_step_log_ratio(j + 1.0)) / (j + 1.0)
 
 
-def _tables(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shared log-gamma tables with at least `size` entries each."""
-    global _lgf, _lgh, _table_size
-    if size > _table_size:
-        new = max(size, 2 * _table_size, 64)
-        lgf = log_gamma(np.arange(1.0, new + 1.0))
-        lgh = log_gamma(0.5 * np.arange(new) + 1.0)
-        lgh[0::2] = lgf[: (new + 1) // 2]
-        _lgf, _lgh, _table_size = lgf, lgh, new
-    return _lgf, _lgh
+def _diagonals(n: int):
+    """Yield t(j, d) for j < n - floor(d/2), for d = 0, 1, ..., 2n - 1."""
+    u = np.arange(2.0 * n + 2.0)
+    halves_sq = (0.5 * u) ** 2          # (j + d/2)^2 at index 2j + d
+    pairs = (u - 1.0) * u               # (j + d - 1)(j + d) at index j + d
+    last = [np.ones(n), _t1(u[:n])]     # the latest even and odd diagonals
+    for d in range(2 * n):
+        if d >= 2:
+            m = n - d // 2
+            last[d % 2] = last[d % 2][:m] * (halves_sq[d:d + 2 * m:2] / pairs[d:d + m])
+        yield last[d % 2]
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +247,15 @@ def kernel_c_fourier(ell: int, k: int) -> float:
 
 
 def _chat_row(ell: int, kmax: int) -> np.ndarray:
-    """Chat_l(k) for k = 0..kmax, vectorized off the shared tables."""
-    lgf, lgh = _tables(2 * ell + 3)
+    """Chat_l(k) = t(l - floor(k/2), k) for k = 0..kmax: products of the ratios
+    (l-m+1)/(l+m) from 1 along even k = 2m, and (l-m+1)/(l+m+1) from t(l, 1)
+    along odd k = 2m+1."""
     kmax = min(kmax, 2 * ell + 1)
-    out = np.zeros(kmax + 1)
-    me = np.arange(0, min(ell, kmax // 2) + 1)          # even k = 2m
-    out[2 * me] = np.exp(2.0 * lgf[ell] - lgf[ell - me] - lgf[ell + me])
-    mo = np.arange(1, (kmax + 1) // 2 + 1)              # odd k = 2m-1
-    mo = mo[2 * mo - 1 <= kmax]
-    out[2 * mo - 1] = np.exp(2.0 * lgh[2 * ell + 1] - lgf[ell + mo] - lgf[ell - mo + 1])
+    m = np.arange(1.0, kmax // 2 + 1.0)
+    out = np.empty(kmax + 1)
+    out[0::2] = np.cumprod(np.concatenate(([1.0], (ell + 1.0 - m) / (ell + m))))
+    odd = np.cumprod(np.concatenate(([_t1(ell)], (ell + 1.0 - m) / (ell + 1.0 + m))))
+    out[1::2] = odd[:(kmax + 1) // 2]
     return out
 
 
@@ -266,12 +270,8 @@ def kernel_c_apply_at_zero(ell: int, phi: ConvolvedStatistic) -> complex:
 # ---------------------------------------------------------------------------
 
 def _sums_through(n: int, dmax: int) -> np.ndarray:
-    """C_d = sum_{l=0}^{n-1-d} Gamma(l+d/2+1)^2/((l+d)! l!) for d = 0..dmax."""
-    lgf, lgh = _tables(2 * n)
-    out = np.empty(dmax + 1)
-    for d in range(dmax + 1):
-        out[d] = np.exp(2.0 * lgh[d:2 * n - d:2] - lgf[d:n] - lgf[:n - d]).sum()
-    return out
+    """C_d = sum_{j<n-d} t(j, d) for d = 0..dmax (dmax < n)."""
+    return np.array([t[:n - d].sum() for d, t in zip(range(dmax + 1), _diagonals(n))])
 
 
 def _diagonal_sums(n: int, dmax: int) -> np.ndarray:
@@ -335,27 +335,22 @@ def angular_cov_decomposed(f: FourierStatistic, g: FourierStatistic, n: int) -> 
     main = N phi(0) - sum_{l<N} (C_l * phi)(0); the correction restores the
     band edges the regrouping over-counts: for each l, Fourier modes with
     |k| > 2N - 2l - 2 (nonempty once l >= floor(N/2)) re-enter with a plus
-    sign.  main + correction reproduces the double sum identically; both
-    sides are assembled from the same log-gamma tables, so the identity
-    holds to rounding error at any N.
+    sign.  Row l of the kernel holds t(l - floor(d/2), d) at |k| = d, so both
+    parts are read off the diagonals t(., d) for d <= min(band, 2N - 1): main
+    takes all j < N - floor(d/2), the correction the j >= N - d part, and
+    main + correction reproduces the double sum to rounding error at any N.
     """
     if n < 1:
         raise ValueError("N must be >= 1")
     phi = ConvolvedStatistic.from_pair(f, g)
     if not phi.real_pair:
         raise ValueError("decomposition is reported for real statistic pairs")
-    folded = np.ascontiguousarray(phi.folded().real)
+    folded = phi.folded().real
     conv_sum = 0.0
     corr = 0.0
-    for ell in range(n):
-        kmax = min(phi.band, 2 * ell + 1)
-        row = _chat_row(ell, kmax)
-        pair = folded[:kmax + 1]
-        conv_sum += float(row @ pair)
-        cutoff = 2 * n - 2 * ell - 2
-        if kmax > cutoff:
-            # excluded modes of this l: cutoff < |k| <= kmax
-            corr += float(row[cutoff + 1:] @ pair[cutoff + 1:])
+    for d, t in zip(range(min(phi.band, 2 * n - 1) + 1), _diagonals(n)):
+        conv_sum += folded[d] * t.sum()
+        corr += folded[d] * t[max(n - d, 0):].sum()
     main = n * phi.phi0.real - conv_sum
     return DecomposedCovariance(main=_finite_or_raise(main, "decomposed main"),
                                 correction=_finite_or_raise(corr, "decomposed correction"))

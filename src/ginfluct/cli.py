@@ -125,6 +125,12 @@ def _floats(text: str, expect: int | None = None, what: str = "value") -> list[f
     return vals
 
 
+def _modulus_window(text: str | None, flag: str) -> list[float]:
+    if text is None:
+        raise UsageError(f"radial window required: {flag} a,b")
+    return _floats(text, 2, "modulus")
+
+
 def parse_statistic(spec: str):
     """Returns (tag, object): tag in {radial, angular, arc}."""
     from .angular import ArcWindow, FourierStatistic, read_fourier_file
@@ -240,23 +246,21 @@ def cmd_cov(args) -> tuple[dict, dict]:
 def cmd_count(args) -> tuple[dict, dict]:
     compare = getattr(args, "compare_asymptotic", False)
     if args.kind == "radial":
-        from .radial import (count_probabilities, radial_count_cov,
-                             radial_count_var)
+        from .radial import _count_mean_var, radial_count_cov
 
         ens = _ensemble(args.ensemble)
-        a, b = _floats(args.window, 2, "modulus")
+        a, b = _modulus_window(args.window, "--window")
         inputs = {"kind": "radial", "n": args.n, "ensemble": ens.value,
                   "window": [a, b]}
         if args.action == "var":
-            var = radial_count_var(args.n, a, b, ens)
-            mean = float(count_probabilities(args.n, a, b, ens).sum())
+            mean, var = _count_mean_var(args.n, a, b, ens)
             outputs = {"var": var, "mean": mean}
             if compare:
                 if ens.value != "complex":
                     raise UsageError("--compare-asymptotic targets the complex ensemble")
                 outputs.update(_prediction_fields(args.n, (a, b), "radial"))
             return inputs, outputs
-        a2, b2 = _floats(args.window2, 2, "modulus")
+        a2, b2 = _modulus_window(args.window2, "--window2")
         inputs["window2"] = [a2, b2]
         return inputs, {"cov": radial_count_cov(args.n, (a, b), (a2, b2), ens)}
 
@@ -305,9 +309,12 @@ def cmd_asymptotics(args) -> tuple[dict, dict]:
 
     if not args.n_list:
         raise UsageError("--n-list required (or use --function)")
-    ns = [int(v) for v in _floats(args.n_list, what="N")]
+    ns = _floats(args.n_list, what="N")
+    if not all(v.is_integer() for v in ns):
+        raise UsageError(f"--n-list needs integers, got {args.n_list!r}")
+    ns = [int(v) for v in ns]
     if args.kind == "radial":
-        a, b = _floats(args.window, 2, "modulus")
+        a, b = _modulus_window(args.window, "--window")
         window = (a, b)
         inputs = {"kind": "radial", "n_list": ns, "window": [a, b]}
     else:
@@ -331,7 +338,7 @@ def cmd_cumulants(args) -> tuple[dict, dict]:
     from .radial import Ensemble, count_probabilities
 
     if args.mode in ("annulus", "quaternion-annulus"):
-        a, b = _floats(args.window, 2, "modulus")
+        a, b = _modulus_window(args.window, "--window")
         inputs = {"mode": args.mode, "n": args.n, "window": [a, b],
                   "n_max": args.n_max}
         if args.mode == "annulus":

@@ -12,7 +12,8 @@ cumulants are sums of per-eigenvalue Bernoulli cumulants,
 
 each evaluated as (1-2p)^[n odd] P_n(v) with v = p(1-p) and integer
 polynomials P_n, so no high-order cancellation enters.  For sectors the
-route is an independent cross-check of the angular module; the annulus
+route is an independent cross-check of the angular module, with which it
+shares only `log_gamma` and `ArcWindow.fourier`; the annulus
 diagonal is the radial module's count probabilities, so annulus agreement
 with the radial module is an identity, not a check.  The same
 engine with plain probability sequences covers the quaternion radial
@@ -26,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import ArcWindow, _tables
+from .angular import ArcWindow
 from .radial import count_probabilities
+from .specfun import log_gamma
 
 __all__ = [
     "GramOperator",
@@ -106,12 +108,13 @@ def gram_sector(n: int, arc: ArcWindow) -> GramOperator:
     """Sector alpha <= arg z <= beta: Hermitian with closed-form entries.
 
     G_{lm} = Gamma((l+m)/2 + 1)/sqrt(l! m!) * what(l - m), assembled in log
-    space; what is the arc indicator's Fourier coefficient in the same
-    convention as the angular module, which ties the two routes together.
+    space from two `log_gamma` vectors; what is the arc indicator's Fourier
+    coefficient in the same convention as the angular module.
     """
     if n < 1:
         raise ValueError("N must be >= 1")
-    lgf, lgh = _tables(2 * n)
+    lgf = log_gamma(np.arange(1.0, n + 1.0))               # ln l!
+    lgh = log_gamma(0.5 * np.arange(2.0 * n - 1.0) + 1.0)   # ln Gamma(s/2 + 1)
     idx = np.arange(n)
     radial = np.exp(lgh[idx[:, None] + idx[None, :]]
                     - 0.5 * (lgf[idx][:, None] + lgf[idx][None, :]))

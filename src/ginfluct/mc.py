@@ -270,13 +270,11 @@ def normalized_count_samples(n: int, a: float, b: float, ens: Ensemble,
     to the normal limit is meaningful.  Centering and scaling use the exact
     mean/variance, not sample estimates.
     """
-    from .radial import radial_count_var, count_probabilities
+    from .radial import _count_mean_var
 
     if size < 1:
         raise ValueError("size must be >= 1")
-    p = count_probabilities(n, a, b, ens)
-    mean = float(np.sum(p))
-    var = radial_count_var(n, a, b, ens)
+    mean, var = _count_mean_var(n, a, b, ens)
     if var <= 0.0:
         raise ValueError("window has zero variance; nothing to normalize")
     gen = rng.generator()

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .specfun import _stirling_tail, gamma_interval_prob, log_gamma, panel_integrate
+from .specfun import _half_step_log_ratio, gamma_interval_prob, log_gamma, panel_integrate
 
 __all__ = [
     "Ensemble",
@@ -141,10 +141,10 @@ def _window_moments(coeffs: Sequence[float], window: ModulusWindow, n: int,
     """E[p(r) 1{a <= r <= b}] for each of the N factors, p(r) = sum_j c_j r^j.
 
     The moments M_j = E[r^j] follow M_{j+2} = M_j (k + j/2)/scale from M_0 = 1 and
-    M_1 = Gamma(k + 1/2)/(Gamma(k) sqrt(scale)), in Stirling's collapsed form from
-    k = 30 on (a log-gamma difference loses k ln k eps).  In the window, M_j picks
-    up the Gamma(k + j/2) probability of [scale a^2, scale b^2], one call per j on
-    the unit ladder of shapes k + j/2 (quaternion shapes are every other rung).
+    M_1 = Gamma(k + 1/2)/(Gamma(k) sqrt(scale)) (the stable half-step log ratio).
+    In the window, M_j picks up the Gamma(k + j/2) probability of [scale a^2,
+    scale b^2], one call per j on the unit ladder of shapes k + j/2 (quaternion
+    shapes are every other rung).
     """
     scale = ens.scale(n)
     a, b = window
@@ -153,10 +153,7 @@ def _window_moments(coeffs: Sequence[float], window: ModulusWindow, n: int,
     rungs = np.arange(k[0], k[-1] + 1.0)
     moments = [np.ones(n), None]
     if any(coeffs[1::2]):
-        log_ratio = np.where(k < 30.0, log_gamma(k + 0.5) - log_gamma(k),
-                             0.5 * np.log(k) + (k * np.log1p(0.5 / k) - 0.5)
-                             + _stirling_tail(k + 0.5) - _stirling_tail(k))
-        moments[1] = np.exp(log_ratio) / math.sqrt(scale)
+        moments[1] = np.exp(_half_step_log_ratio(k)) / math.sqrt(scale)
     terms = []
     for j, c in enumerate(coeffs):
         if j >= 2 and moments[j % 2] is not None:
@@ -270,13 +267,17 @@ def count_probabilities(n: int, a: float, b: float,
     return _window_moments((1.0,), _check_window((a, b)), n, ens)
 
 
+def _count_mean_var(n: int, a: float, b: float, ens: Ensemble) -> tuple[float, float]:
+    """Mean sum_k p_k and variance sum_k p_k (1 - p_k) of #{moduli in [a, b]},
+    both from one `count_probabilities` call."""
+    p = count_probabilities(n, a, b, ens)
+    return float(p.sum()), math.fsum(p * (1.0 - p))
+
+
 def radial_count_var(n: int, a: float, b: float,
                      ens: Ensemble = Ensemble.COMPLEX) -> float:
     """Var #{moduli in [a, b]} = sum_k p_k (1 - p_k)."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    p = count_probabilities(n, a, b, ens)
-    return math.fsum(p * (1.0 - p))
+    return _count_mean_var(n, a, b, ens)[1]
 
 
 def radial_count_cov(n: int, w1: ModulusWindow, w2: ModulusWindow,

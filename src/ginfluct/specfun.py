@@ -3,9 +3,9 @@
 Everything downstream (gamma-sum expectations, Fourier double sums, count
 probabilities, normal tail integrals) reduces to the four workhorses here:
 log-gamma, the regularized incomplete gamma pair (over a unit ladder of shapes
-at once), the standard normal CDF, and Gauss-Legendre panel sums.  All
-gamma-ratio quantities elsewhere in the package are assembled in log space
-from `log_gamma` and exponentiated once.
+at once), the standard normal CDF, and Gauss-Legendre panel sums.  Gamma
+ratios elsewhere are exponentiated once from `log_gamma` or its stable
+half-step ratio, or (angular) stepped by exact rationals from the latter.
 """
 
 from __future__ import annotations
@@ -98,6 +98,14 @@ def _stirling_tail(x: float) -> float:
         series += c * p
         p *= inv2
     return series
+
+
+def _half_step_log_ratio(k):
+    """ln Gamma(k + 1/2) - ln Gamma(k), elementwise for k > 0; from k = 30 on in
+    Stirling's collapsed form, as a log-gamma difference loses k ln k eps."""
+    collapsed = (0.5 * np.log(k) + (k * np.log1p(0.5 / k) - 0.5)
+                 + _stirling_tail(k + 0.5) - _stirling_tail(k))
+    return np.where(k < 30.0, log_gamma(k + 0.5) - log_gamma(k), collapsed)
 
 
 def _log_prefactor(k, x: float):

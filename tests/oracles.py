@@ -179,6 +179,36 @@ def cumulants_from_spectrum_mp(p, n_max: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# angular Gamma ratios in extended precision
+# ---------------------------------------------------------------------------
+
+def angular_diagonal_sum_mp(n: int, d: int) -> float:
+    """C_d = sum_{j<n-d} Gamma(j+d/2+1)^2 / ((j+d)! j!) in 30 digits, each term
+    the one before times (j+d/2+1)^2 / ((j+d+1)(j+1)) from Gamma(d/2+1)^2 / d!."""
+    with mpmath.workdps(30):
+        half = mpmath.mpf(d) / 2
+        t = mpmath.gamma(half + 1) ** 2 / mpmath.factorial(d)
+        total = mpmath.mpf(0)
+        for j in range(n - d):
+            total += t
+            t = t * (j + half + 1) ** 2 / ((j + d + 1) * (j + 1))
+        return float(total)
+
+
+def kernel_fourier_mp(ell: int, k: int) -> float:
+    """Chat_l(k) of C_l = a(l) cos^{2l} + b(l) cos^{2l+1} in 30 digits:
+    (l!)^2 / ((l-m)! (l+m)!) for k = 2m, Gamma(l+3/2)^2 / ((l+m)! (l-m+1)!)
+    for k = 2m-1."""
+    with mpmath.workdps(30):
+        m = (k + 1) // 2
+        if k % 2 == 0:
+            return float(mpmath.factorial(ell) ** 2
+                         / (mpmath.factorial(ell - m) * mpmath.factorial(ell + m)))
+        return float(mpmath.gamma(ell + mpmath.mpf(3) / 2) ** 2
+                     / (mpmath.factorial(ell + m) * mpmath.factorial(ell - m + 1)))
+
+
+# ---------------------------------------------------------------------------
 # characteristic-polynomial eigenvalue oracle
 # ---------------------------------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 Three independent attack routes: the 4-D brute-force determinantal
 quadrature over the plane, closed-form kernel coefficients, and the
-sector Gram operator (a different code path through different tables).
+sector Gram operator (a different code path, built on `log_gamma` where the
+library's double sum takes exact rational steps).  Extended-precision sums
+check the rational steps themselves.
 """
 
 import math
@@ -11,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginfluct import angular
 from ginfluct.angular import (
     MAX_BAND,
     ArcWindow,
     ConvolvedStatistic,
     FourierStatistic,
+    _chat_row,
     _diagonal_sums,
     _row_sums,
     angular_count_cov,
@@ -32,7 +34,7 @@ from ginfluct.angular import (
 )
 from ginfluct.dpp import cumulants_from_gram, gram_sector
 
-from oracles import quad4d_cov
+from oracles import angular_diagonal_sum_mp, kernel_fourier_mp, quad4d_cov
 
 COS = FourierStatistic.cosine(1)
 TWO_COS = FourierStatistic.cosine(1, amplitude=2.0)
@@ -159,7 +161,7 @@ class TestArcWindow:
         arc = ArcWindow.symmetric(1.2)
         assert arc.tent_fourier(0) == (1.2 / (2 * math.pi)) ** 2
         for d in (1, 3, 10):
-            assert arc.tent_fourier(d) == pytest.approx(abs(arc.fourier(d)) ** 2, rel=1e-12)
+            assert arc.tent_fourier(d) == pytest.approx(abs(arc.fourier(d)) ** 2, rel=1e-12, abs=0.0)
         d = np.arange(0, 11)
         row = arc.tent_fourier(d)
         assert row[0] == arc.tent_fourier(0)
@@ -174,7 +176,7 @@ class TestArcWindow:
 
 class TestKernelC:
     def test_value_at_zero(self):
-        assert kernel_c_eval(0, 0.0) == pytest.approx(1.0 + math.pi / 2.0, rel=1e-13)
+        assert kernel_c_eval(0, 0.0) == pytest.approx(1.0 + math.pi / 2.0, rel=1e-13, abs=0.0)
 
     def test_zero_at_right_angle(self):
         for ell in (1, 2, 17):
@@ -182,7 +184,7 @@ class TestKernelC:
 
     def test_sign_correct_for_negative_cosine(self):
         # at theta = pi: cos = -1, so a(l) - b(l); b(0) = pi/2 dominates
-        assert kernel_c_eval(0, math.pi) == pytest.approx(1.0 - math.pi / 2.0, rel=1e-13)
+        assert kernel_c_eval(0, math.pi) == pytest.approx(1.0 - math.pi / 2.0, rel=1e-13, abs=0.0)
         assert kernel_c_eval(3, math.pi) < 0.0
 
     @pytest.mark.parametrize("ell", [1, 10, 100])
@@ -200,7 +202,7 @@ class TestKernelC:
 
     def test_fourier_unit_mass_and_band(self):
         for ell in (0, 3, 40):
-            assert kernel_c_fourier(ell, 0) == pytest.approx(1.0, rel=1e-13)
+            assert kernel_c_fourier(ell, 0) == pytest.approx(1.0, rel=1e-13, abs=0.0)
             assert kernel_c_fourier(ell, 2 * ell + 2) == 0.0
             assert kernel_c_fourier(ell, -(2 * ell + 5)) == 0.0
 
@@ -210,9 +212,9 @@ class TestKernelC:
                 assert kernel_c_fourier(ell, k) == kernel_c_fourier(ell, -k)
 
     def test_fourier_closed_values(self):
-        assert kernel_c_fourier(0, 1) == pytest.approx(math.pi / 4.0, rel=1e-13)
-        assert kernel_c_fourier(1, 1) == pytest.approx(9.0 * math.pi / 32.0, rel=1e-13)
-        assert kernel_c_fourier(1, 3) == pytest.approx(3.0 * math.pi / 32.0, rel=1e-13)
+        assert kernel_c_fourier(0, 1) == pytest.approx(math.pi / 4.0, rel=1e-13, abs=0.0)
+        assert kernel_c_fourier(1, 1) == pytest.approx(9.0 * math.pi / 32.0, rel=1e-13, abs=0.0)
+        assert kernel_c_fourier(1, 3) == pytest.approx(3.0 * math.pi / 32.0, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("ell", [1, 5])
     def test_fourier_against_quadrature(self, ell):
@@ -270,7 +272,14 @@ class TestKernelC:
                 kernel_c_fourier(ell, k) * phi.get(k)
                 for k in range(-phi.band, phi.band + 1)
             )
-            assert kernel_c_apply_at_zero(ell, phi) == pytest.approx(direct, rel=1e-13)
+            assert kernel_c_apply_at_zero(ell, phi) == pytest.approx(direct, rel=1e-13, abs=0.0)
+
+    def test_row_against_extended_precision(self):
+        # ratio products from t(l, 1) against the closed forms in 30 digits
+        row = _chat_row(20_000, 40)
+        assert len(row) == 41
+        for k, v in enumerate(row):
+            assert v == pytest.approx(kernel_fourier_mp(20_000, k), rel=1e-14, abs=0.0)
 
 
 class TestDiagonalSums:
@@ -285,41 +294,16 @@ class TestDiagonalSums:
                 math.exp(2.0 * math.lgamma(l + 0.5 * d + 1.0)
                          - math.lgamma(l + d + 1.0) - math.lgamma(l + 1.0))
                 for l in range(n - d))
-            assert row[d] == pytest.approx(oracle, rel=1e-12)
+            assert row[d] == pytest.approx(oracle, rel=1e-12, abs=0.0)
         # the partial rows below n/2 are bitwise prefixes of the cached row
         for dmax in range(n // 2):
             assert np.array_equal(_diagonal_sums(n, dmax), row[: dmax + 1])
 
-
-class TestTables:
-    def _reset(self, monkeypatch):
-        monkeypatch.setattr(angular, "_lgf", np.zeros(1))
-        monkeypatch.setattr(angular, "_lgh", np.zeros(1))
-        monkeypatch.setattr(angular, "_table_size", 0)
-
-    def test_growth_is_history_free(self, monkeypatch):
-        # tables grown through several sizes equal tables built at once, bit for bit
-        self._reset(monkeypatch)
-        for size in (10, 100, 3000, 20_480):
-            lgf, lgh = angular._tables(size)
-        stepped = lgf.copy(), lgh.copy()
-        self._reset(monkeypatch)
-        once = angular._tables(len(stepped[0]))
-        for a, b in zip(stepped, once):
-            assert len(a) == len(b) >= 20_480
-            assert np.array_equal(a, b)
-
-    def test_half_integer_table_copies_factorials_bitwise(self, monkeypatch):
-        # the decomposition identity rests on lgh[2j] being lgf[j] exactly
-        self._reset(monkeypatch)
-        lgf, lgh = angular._tables(5000)
-        assert np.array_equal(lgh[0::2], lgf[: (len(lgh) + 1) // 2])
-        np.testing.assert_allclose(lgf[[0, 1, 10, 170, 4999]],
-                                   [math.lgamma(j + 1.0) for j in (0, 1, 10, 170, 4999)],
-                                   rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(lgh[[1, 3, 41, 4999]],
-                                   [math.lgamma(0.5 * s + 1.0) for s in (1, 3, 41, 4999)],
-                                   rtol=1e-14, atol=1e-15)
+    @pytest.mark.parametrize("d", [1, 7, 1001, 3000])
+    def test_large_n_against_extended_precision(self, d):
+        # the library steps along d, the oracle along j, in 30 digits
+        assert _row_sums(10_240)[d] == pytest.approx(angular_diagonal_sum_mp(10_240, d),
+                                                     rel=1e-14, abs=0.0)
 
 
 class TestCovExact:
@@ -329,11 +313,11 @@ class TestCovExact:
 
     def test_single_point_variance(self):
         # one uniform angle: Var(2 cos) = 2
-        assert angular_cov_exact(TWO_COS, TWO_COS, 1) == pytest.approx(2.0, rel=1e-13)
+        assert angular_cov_exact(TWO_COS, TWO_COS, 1) == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
     def test_two_point_value(self):
         assert angular_cov_exact(TWO_COS, TWO_COS, 2) == pytest.approx(
-            4.0 - math.pi / 2.0, rel=1e-13)
+            4.0 - math.pi / 2.0, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_against_planar_determinantal_oracle(self, n):
@@ -368,13 +352,13 @@ class TestCovExact:
                 for l in range(0, n - 1)
             )
             got = angular_cov_exact(f, g, n)
-            assert got.real == pytest.approx(target, rel=1e-13)
+            assert got.real == pytest.approx(target, rel=1e-13, abs=0.0)
             assert got.imag == pytest.approx(0.0, abs=1e-13)
 
     def test_sesquilinear_variance_of_complex_wave(self):
         f = FourierStatistic.from_dict({1: 1.0}, real=False)
         # at N = 1, E X = 0 and |X| = 1, so the sesquilinear variance is 1
-        assert angular_var_sesquilinear(f, 1) == pytest.approx(1.0, rel=1e-13)
+        assert angular_var_sesquilinear(f, 1) == pytest.approx(1.0, rel=1e-13, abs=0.0)
         for n in (2, 6):
             assert angular_var_sesquilinear(f, n) >= 0.0
 
@@ -410,14 +394,14 @@ class TestDecomposed:
 
     def test_two_cos_identity(self):
         out = angular_cov_decomposed(TWO_COS, TWO_COS, 2)
-        assert out.total == pytest.approx(4.0 - math.pi / 2.0, rel=1e-12)
+        assert out.total == pytest.approx(4.0 - math.pi / 2.0, rel=1e-12, abs=0.0)
 
     def test_band_one_n_four_correction_enumerates_the_exclusion_set(self):
         # |k| > 2N - 2l - 2 with |k| <= min(2l+1, 1): only l = 3, k = +/-1
         phi = ConvolvedStatistic.from_pair(COS, COS)
         out = angular_cov_decomposed(COS, COS, 4)
         expected = 2.0 * kernel_c_fourier(3, 1) * phi.get(1).real
-        assert out.correction == pytest.approx(expected, rel=1e-13)
+        assert out.correction == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16, 33, 64])
     def test_identity_randomized(self, n):
@@ -430,6 +414,22 @@ class TestDecomposed:
             out = angular_cov_decomposed(f, g, n)
             scale = max(1e-30, abs(exact))
             assert abs(out.total - exact) / scale <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_parts_against_kernel_rows(self, n):
+        # the decomposition reads the diagonals; rebuild both parts row by row
+        rng = np.random.default_rng(2000 + n)
+        band = 2 * n + 1
+        f, g = random_real_statistic(rng, band), random_real_statistic(rng, band)
+        phi = ConvolvedStatistic.from_pair(f, g)
+        folded = phi.folded().real
+        main = n * phi.phi0.real - math.fsum(
+            kernel_c_apply_at_zero(ell, phi).real for ell in range(n))
+        corr = math.fsum(kernel_c_fourier(ell, k) * folded[k] for ell in range(n)
+                         for k in range(2 * n - 2 * ell - 1, 2 * ell + 2))
+        out = angular_cov_decomposed(f, g, n)
+        assert out.main == pytest.approx(main, rel=1e-13, abs=0.0)
+        assert out.correction == pytest.approx(corr, rel=1e-13, abs=0.0)
 
     def test_complex_pair_rejected(self):
         f = FourierStatistic.from_dict({1: 1.0}, real=False)
@@ -445,7 +445,7 @@ class TestCountVar:
         # one uniform angle: Bernoulli(q) count
         arc = ArcWindow(-0.4, 1.1)
         q = arc.length / (2.0 * math.pi)
-        assert angular_count_var(1, arc) == pytest.approx(q * (1 - q), rel=1e-13)
+        assert angular_count_var(1, arc) == pytest.approx(q * (1 - q), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_against_planar_determinantal_oracle(self, n):
@@ -466,7 +466,7 @@ class TestCountVar:
         # independent route: Var = sum p_j (1 - p_j) over the sector operator's spectrum
         arc = ArcWindow(-0.8, 0.45)
         var = cumulants_from_gram(gram_sector(n, arc), 2).cumulant(2)
-        assert angular_count_var(n, arc) == pytest.approx(var, rel=1e-11)
+        assert angular_count_var(n, arc) == pytest.approx(var, rel=1e-11, abs=0.0)
 
     def test_mesoscopic_example(self):
         got = angular_count_var(4096, ArcWindow.symmetric(math.pi / 2.0))
@@ -499,14 +499,14 @@ class TestCountCov:
     def test_symmetry(self):
         a1, a2 = ArcWindow(-1.0, 0.1), ArcWindow(-0.2, 2.0)
         assert angular_count_cov(50, a1, a2) == pytest.approx(
-            angular_count_cov(50, a2, a1), rel=1e-12)
+            angular_count_cov(50, a2, a1), rel=1e-12, abs=0.0)
 
     def test_complementary_arcs_anticorrelate_exactly(self):
         # #arc1 + #arc2 = N when the arcs tile the circle
         a1, a2 = ArcWindow(-math.pi, 0.4), ArcWindow(0.4, math.pi)
         for n in (2, 7, 40):
             cov = angular_count_cov(n, a1, a2)
-            assert cov == pytest.approx(-angular_count_var(n, a1), rel=1e-10)
+            assert cov == pytest.approx(-angular_count_var(n, a1), rel=1e-10, abs=0.0)
 
     def test_joint_rotation_invariance(self):
         rng = np.random.default_rng(33)
@@ -588,7 +588,7 @@ class TestFourierFiles:
         write_fourier_file(path, f)
         back = read_fourier_file(path)
         assert angular_cov_exact(back, back, 5) == pytest.approx(
-            angular_cov_exact(f, f, 5), rel=1e-12)
+            angular_cov_exact(f, f, 5), rel=1e-12, abs=0.0)
         # smooth angular variances grow like (log N / 4) sum k^2 |fhat(k)|^2;
         # check the N -> 2N increment against that slope
         v1 = angular_cov_exact(f, f, 64)

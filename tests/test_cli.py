@@ -137,6 +137,22 @@ class TestExitCodes:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("count", "var", "--kind", "radial", "--n", "100"), "--window"),
+        (("count", "cov", "--kind", "radial", "--n", "100", "--window", "0.4,0.8"),
+         "--window2"),
+        (("asymptotics", "table", "--kind", "radial", "--n-list", "64,128"), "--window"),
+        (("cumulants", "--mode", "annulus", "--n", "16"), "--window"),
+        (("asymptotics", "table", "--kind", "radial", "--n-list", "64.7",
+          "--window", "0.4,0.8"), "--n-list"),
+    ])
+    def test_missing_or_malformed_flag_is_named(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("synthetic non-convergence")
