@@ -270,8 +270,15 @@ def kernel_c_apply_at_zero(ell: int, phi: ConvolvedStatistic) -> complex:
 # ---------------------------------------------------------------------------
 
 def _sums_through(n: int, dmax: int) -> np.ndarray:
-    """C_d = sum_{j<n-d} t(j, d) for d = 0..dmax (dmax < n)."""
-    return np.array([t[:n - d].sum() for d, t in zip(range(dmax + 1), _diagonals(n))])
+    """C_d = sum_{j<n-d} t(j, d) for d = 0..dmax (dmax < n).  t(j, d) falls
+    with d for every j, so the row stops at the first C_d below 1e-300 and the
+    rest stay zero: they meet folded coefficients <= 1, below any rounding."""
+    out = np.zeros(dmax + 1)
+    for d, t in zip(range(dmax + 1), _diagonals(n)):
+        out[d] = t[:n - d].sum()
+        if out[d] < 1e-300:
+            break
+    return out
 
 
 def _diagonal_sums(n: int, dmax: int) -> np.ndarray:

@@ -120,8 +120,8 @@ def i_arg(beta: float) -> float:
 
     Absolute error well below 1e-8 for beta in (0, 1e12].
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
 
     t1 = panel_integrate(
         lambda u: -np.expm1(-beta * u ** 4),
@@ -142,8 +142,8 @@ def i_mod(c: float) -> float:
     covers [-2c-12, 12] with dense panels at the edges and sparse ones across
     any long plateau in between.
     """
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     phi = np.vectorize(std_normal_cdf, otypes=[float])
 
     def integrand(x: np.ndarray) -> np.ndarray:

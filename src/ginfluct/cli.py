@@ -115,20 +115,26 @@ def _emit(report: Report, fmt: str, out_path: str | None) -> None:
 # statistic mini-language
 # ---------------------------------------------------------------------------
 
-def _floats(text: str, expect: int | None = None, what: str = "value") -> list[float]:
+def _floats(text: str, expect: int | None = None, what: str = "value",
+            open_top: bool = False) -> list[float]:
+    """Comma-separated finite floats; open_top also admits +inf as the last
+    value (the open upper edge of a modulus window)."""
     try:
         vals = [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
         raise UsageError(f"cannot parse {what} list {text!r}") from exc
     if expect is not None and len(vals) != expect:
         raise UsageError(f"expected {expect} comma-separated {what}s, got {text!r}")
+    bounded = vals[:-1] if open_top and vals[-1] == math.inf else vals
+    if not all(math.isfinite(v) for v in bounded):
+        raise UsageError(f"{what} list {text!r} has a non-finite value")
     return vals
 
 
 def _modulus_window(text: str | None, flag: str) -> list[float]:
     if text is None:
         raise UsageError(f"radial window required: {flag} a,b")
-    return _floats(text, 2, "modulus")
+    return _floats(text, 2, "modulus", open_top=True)
 
 
 def parse_statistic(spec: str):
@@ -145,7 +151,7 @@ def parse_statistic(spec: str):
             raise UsageError("poly: needs at least one coefficient")
         return "radial", RadialTestFunction.poly(coeffs)
     if kind == "ind-mod":
-        a, b = _floats(rest, 2, "modulus")
+        a, b = _modulus_window(rest, "ind-mod:")
         return "radial", RadialTestFunction.indicator(a, b)
     if kind == "ind-arg":
         alpha, beta = _floats(rest, 2, "angle")
@@ -333,26 +339,21 @@ def cmd_asymptotics(args) -> tuple[dict, dict]:
 
 
 def cmd_cumulants(args) -> tuple[dict, dict]:
-    from .dpp import (clt_certificate, cumulants_from_gram,
-                      cumulants_permanental, gram_annulus, gram_sector)
+    from .dpp import clt_certificate, cumulants_from_gram, gram_annulus, gram_sector
     from .radial import Ensemble, count_probabilities
 
-    if args.mode in ("annulus", "quaternion-annulus"):
-        a, b = _modulus_window(args.window, "--window")
-        inputs = {"mode": args.mode, "n": args.n, "window": [a, b],
-                  "n_max": args.n_max}
-        if args.mode == "annulus":
-            cs = cumulants_from_gram(gram_annulus(args.n, a, b), args.n_max)
-        else:
-            p = count_probabilities(args.n, a, b, Ensemble.QUATERNION)
-            cs = cumulants_permanental(p, args.n_max)
-    elif args.mode == "sector":
+    if args.mode == "sector":
         arc = _arc_from_args(args)
         inputs = {"mode": "sector", "n": args.n,
                   "arc": [arc.alpha, arc.beta], "n_max": args.n_max}
-        cs = cumulants_from_gram(gram_sector(args.n, arc), args.n_max)
+        g = gram_sector(args.n, arc)
     else:
-        raise UsageError(f"unknown mode {args.mode!r}")
+        a, b = _modulus_window(args.window, "--window")
+        inputs = {"mode": args.mode, "n": args.n, "window": [a, b],
+                  "n_max": args.n_max}
+        g = (gram_annulus(args.n, a, b) if args.mode == "annulus"
+             else count_probabilities(args.n, a, b, Ensemble.QUATERNION))
+    cs = cumulants_from_gram(g, args.n_max)
     outputs = {"cluster": list(cs.u), "cumulants": list(cs.c)}
     if args.certify:
         rep = clt_certificate(cs, tolerance=args.tolerance)

@@ -3,21 +3,20 @@
 Restricting the planar kernel to a region A gives a self-adjoint operator
 with spectrum in [0, 1]; the count in A is then a sum of independent
 Bernoulli(p_j) over its eigenvalues p_j (Hough-Krishnapur-Peres-Virag).
-For annuli the Gram matrix in the monomial basis is diagonal
-(incomplete-gamma entries, read off as the p_j); for sectors it is a
-Hermitian matrix with closed-form entries, diagonalized once.  Count
-cumulants are sums of per-eigenvalue Bernoulli cumulants,
+The builders return the operator as a plain array in the monomial basis:
+the annulus one is diagonal, so `gram_annulus` returns its diagonal (the
+p_j themselves), and `gram_sector` returns the Hermitian sector matrix.
+`cumulants_from_gram` reads a 1-d array as the p_j and diagonalizes a 2-d
+one.  Count cumulants are sums of per-eigenvalue Bernoulli cumulants,
 
     C_n = sum_j kappa_n(p_j),   kappa_{n+1} = p(1-p) d kappa_n/dp,
 
 each evaluated as (1-2p)^[n odd] P_n(v) with v = p(1-p) and integer
-polynomials P_n, so no high-order cancellation enters.  For sectors the
-route is an independent cross-check of the angular module, with which it
-shares only `log_gamma` and `ArcWindow.fourier`; the annulus
-diagonal is the radial module's count probabilities, so annulus agreement
-with the radial module is an identity, not a check.  The same
-engine with plain probability sequences covers the quaternion radial
-counts, whose moduli are independent.
+polynomials P_n, so no high-order cancellation enters.  The sector route
+shares only `log_gamma` with the angular module, so it checks that module
+independently; the annulus diagonal is the radial module's count probabilities, so
+annulus agreement with the radial module is an identity, not a check.
+The quaternion radial counts pass their count probabilities as the diagonal.
 """
 
 from __future__ import annotations
@@ -32,47 +31,15 @@ from .radial import count_probabilities
 from .specfun import log_gamma
 
 __all__ = [
-    "GramOperator",
     "CumulantSet",
     "CltReport",
     "gram_annulus",
     "gram_sector",
     "cumulants_from_gram",
-    "cumulants_permanental",
     "clt_certificate",
 ]
 
 MAX_ORDER = 12
-
-
-@dataclass(frozen=True)
-class GramOperator:
-    """Region-restricted projection in the monomial basis."""
-
-    n: int
-    structure: str                      # "diagonal" | "sector"
-    diag: np.ndarray | None = None      # real probabilities, diagonal case
-    matrix: np.ndarray | None = None    # Hermitian, sector case
-
-    def __post_init__(self) -> None:
-        if self.structure == "diagonal":
-            if self.diag is None or len(self.diag) != self.n:
-                raise ValueError("diagonal operator needs a length-N diag")
-        elif self.structure == "sector":
-            if self.matrix is None or self.matrix.shape != (self.n, self.n):
-                raise ValueError("sector operator needs an N x N matrix")
-        else:
-            raise ValueError(f"unknown structure {self.structure!r}")
-
-    def trace(self) -> float:
-        if self.structure == "diagonal":
-            return float(np.sum(self.diag))
-        return math.fsum(np.diagonal(self.matrix).real)
-
-    def eigenvalues(self) -> np.ndarray:
-        if self.structure == "diagonal":
-            return np.sort(np.asarray(self.diag, dtype=float))
-        return np.linalg.eigvalsh(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -98,18 +65,18 @@ class CumulantSet:
 # operators for the two window families
 # ---------------------------------------------------------------------------
 
-def gram_annulus(n: int, a: float, b: float) -> GramOperator:
-    """Annulus a <= |z| <= b: diagonal, its entries the modulus count
-    probabilities of `radial.count_probabilities`."""
-    return GramOperator(n=n, structure="diagonal", diag=count_probabilities(n, a, b))
+def gram_annulus(n: int, a: float, b: float) -> np.ndarray:
+    """Annulus a <= |z| <= b: the operator is diagonal, so this is its
+    diagonal, the modulus count probabilities of `radial.count_probabilities`."""
+    return count_probabilities(n, a, b)
 
 
-def gram_sector(n: int, arc: ArcWindow) -> GramOperator:
-    """Sector alpha <= arg z <= beta: Hermitian with closed-form entries.
-
-    G_{lm} = Gamma((l+m)/2 + 1)/sqrt(l! m!) * what(l - m), assembled in log
-    space from two `log_gamma` vectors; what is the arc indicator's Fourier
-    coefficient in the same convention as the angular module.
+def gram_sector(n: int, arc: ArcWindow) -> np.ndarray:
+    """Sector alpha <= arg z <= beta: the Hermitian N x N matrix
+    G_{lm} = Gamma((l+m)/2 + 1)/sqrt(l! m!) * what(l - m), its radial factor in
+    log space from two `log_gamma` vectors.  The arc indicator's coefficient
+    what(d) = (1/2pi) int_alpha^beta e^{-i d theta} dtheta is taken from that
+    integral: -e^{-i d alpha} expm1(-i d L)/(2 pi i d), and L/2pi at d = 0.
     """
     if n < 1:
         raise ValueError("N must be >= 1")
@@ -118,9 +85,10 @@ def gram_sector(n: int, arc: ArcWindow) -> GramOperator:
     idx = np.arange(n)
     radial = np.exp(lgh[idx[:, None] + idx[None, :]]
                     - 0.5 * (lgf[idx][:, None] + lgf[idx][None, :]))
-    wvals = arc.fourier(np.arange(-(n - 1), n))
-    wmat = wvals[(idx[:, None] - idx[None, :]) + (n - 1)]
-    return GramOperator(n=n, structure="sector", matrix=radial * wmat)
+    d = np.arange(1.0, n)
+    pos = -np.exp(-1j * d * arc.alpha) * np.expm1(-1j * d * arc.length) / (2j * math.pi * d)
+    wvals = np.concatenate((np.conj(pos[::-1]), [arc.length / (2.0 * math.pi)], pos))
+    return radial * wvals[(idx[:, None] - idx[None, :]) + (n - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +123,21 @@ _BOUND_FACTORS = (1, 7, 49, 391, 3601, 37927, 451249, 5995591, 88073041,
                   1418137447, 24846302449)
 
 
-def cumulants_from_gram(g: GramOperator, n_max: int) -> CumulantSet:
-    """Count cumulants C_1..C_nmax of the region count described by g."""
+def cumulants_from_gram(g, n_max: int) -> CumulantSet:
+    """Count cumulants C_1..C_nmax of the region count whose operator is g: a
+    1-d g holds a diagonal operator's entries, the Bernoulli probabilities
+    p_j; a 2-d g is a Hermitian matrix, whose eigenvalues are the p_j."""
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
-    if g.structure == "diagonal":
-        return cumulants_permanental(g.diag, n_max)
-    # a compression of a projection: the spectrum lies in [0, 1] up to rounding
-    return cumulants_permanental(np.clip(g.eigenvalues(), 0.0, 1.0), n_max)
-
-
-def cumulants_permanental(p, n_max: int) -> CumulantSet:
-    """Cumulants of a sum of independent Bernoulli(p_k)."""
-    if not 1 <= n_max <= MAX_ORDER:
-        raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValueError("p must be a nonempty 1-d probability sequence")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
+    g = np.asarray(g)
+    if g.ndim == 2:
+        # a compression of a projection: the spectrum lies in [0, 1] up to rounding
+        g = np.clip(np.linalg.eigvalsh(g), 0.0, 1.0)
+    elif g.ndim != 1:
+        raise ValueError(f"operator must be a 1-d diagonal or a 2-d matrix, got shape {g.shape}")
+    p = np.asarray(g, dtype=float)
+    if len(p) == 0 or not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("probabilities must be a nonempty sequence in [0, 1]")
     v = p * (1.0 - p)
     skew = 1.0 - 2.0 * p
     c = [math.fsum(p)]
@@ -209,8 +173,11 @@ class CltReport:
 def clt_certificate(cs: CumulantSet, tolerance: float = 0.1) -> CltReport:
     """Normalized cumulants and the linear-in-variance bound witness.
 
-    Deterministic counts (C_2 = 0) carry no normalization and are rejected.
+    Deterministic counts (C_2 = 0) carry no normalization and are rejected,
+    as is a tolerance outside (0, inf).
     """
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     c2 = cs.cumulant(2)
     if c2 <= 0.0:
         raise ValueError("C_2 is zero: deterministic count, nothing to certify")

@@ -252,7 +252,10 @@ def ks_normal_test(samples) -> KsResult:
     s = len(x)
     if s < 100:
         raise ValueError("need at least 100 samples")
-    z = np.sort((x - x.mean()) / x.std(ddof=1))
+    spread = x.std(ddof=1)
+    if not 0.0 < spread < math.inf:
+        raise ValueError(f"samples need a positive finite spread to studentize, got {spread}")
+    z = np.sort((x - x.mean()) / spread)
     cdf = np.array([std_normal_cdf(v) for v in z])
     grid_hi = np.arange(1, s + 1) / s
     grid_lo = np.arange(0, s) / s

@@ -26,7 +26,6 @@ from ginfluct.asymptotics import count_var_prediction, edgeworth_density, i_arg
 from ginfluct.dpp import (
     clt_certificate,
     cumulants_from_gram,
-    cumulants_permanental,
     gram_annulus,
     gram_sector,
 )
@@ -267,7 +266,7 @@ def test_criterion_09_cumulant_engine():
     for _ in range(6):
         m = int(rng.integers(2, 11))
         p = rng.random(m)
-        cs = cumulants_permanental(p, 4)
+        cs = cumulants_from_gram(p, 4)
         ref = cumulants_from_pmf(bernoulli_count_pmf(p), 4)
         for order in (3, 4):
             denom = max(1e-12, abs(ref[order - 1]))

@@ -243,7 +243,7 @@ class TestKernelC:
                 s += 2.0 * kernel_c_fourier(ell, k) * arc.tent_fourier(k)
             diff = s - length / (2.0 * math.pi)
             pred = -(1.0 / math.pi) / (2.0 * math.sqrt(math.pi * ell))
-            assert diff == pytest.approx(pred, rel=rel_tol)
+            assert diff == pytest.approx(pred, rel=rel_tol, abs=0.0)
 
     @pytest.mark.parametrize("ell", [100, 10_000])
     def test_stirling_fact(self, ell):
@@ -459,7 +459,7 @@ class TestCountVar:
 
         got = angular_count_var(n, arc)
         oracle = quad4d_cov(ind, ind, n, t_nodes=t_nodes, r_nodes=100)
-        assert got == pytest.approx(oracle, rel=5e-4)
+        assert got == pytest.approx(oracle, rel=5e-4, abs=0.0)
 
     @pytest.mark.parametrize("n", [5, 50])
     def test_against_sector_gram_operator(self, n):
@@ -594,4 +594,4 @@ class TestFourierFiles:
         v1 = angular_cov_exact(f, f, 64)
         v2 = angular_cov_exact(f, f, 128)
         slope = sum(k * k * abs(f.get(k)) ** 2 for k in range(-6, 7)) / 4.0
-        assert v2 - v1 == pytest.approx(math.log(2.0) * slope, rel=0.05)
+        assert v2 - v1 == pytest.approx(math.log(2.0) * slope, rel=0.05, abs=0.0)

@@ -28,14 +28,14 @@ TWO_COS = FourierStatistic.cosine(1, amplitude=2.0)
 
 class TestRadialSmoothLimit:
     def test_r_squared(self):
-        assert radial_smooth_limit(R2, R2) == pytest.approx(0.5, rel=1e-12)
+        assert radial_smooth_limit(R2, R2) == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_constant_vanishes(self):
         c = RadialTestFunction.poly([4.0])
         assert radial_smooth_limit(c, R2) == pytest.approx(0.0, abs=1e-14)
 
     def test_mixed_pair(self):
-        assert radial_smooth_limit(R2, R4) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert radial_smooth_limit(R2, R4) == pytest.approx(2.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_exact_module_converges_to_this_limit(self):
         target = radial_smooth_limit(R2, R4)
@@ -49,7 +49,7 @@ class TestRadialSmoothLimit:
             radial_smooth_limit(f, R2)
         got = radial_smooth_limit(f, R2, f_prime=lambda r: 3.0 * r**2)
         # (1/2) int 3r^2 * 2r * r dr = 3/5
-        assert got == pytest.approx(0.6, rel=1e-12)
+        assert got == pytest.approx(0.6, rel=1e-12, abs=0.0)
 
     def test_indicator_rejected(self):
         ind = RadialTestFunction.indicator(0.2, 0.6)
@@ -59,7 +59,7 @@ class TestRadialSmoothLimit:
 
 class TestAngularSmoothCoeff:
     def test_two_cos(self):
-        assert angular_smooth_coeff(TWO_COS, TWO_COS) == pytest.approx(2.0, rel=1e-13)
+        assert angular_smooth_coeff(TWO_COS, TWO_COS) == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
     def test_constant_vanishes(self):
         c = FourierStatistic.constant(5.0)
@@ -77,9 +77,9 @@ class TestAngularSmoothCoeff:
         c[0] = c[0].real
         f = FourierStatistic(coeffs=np.concatenate([np.conj(c[:0:-1]), c]))
         loop = sum(k * k * f.get(k) * TWO_COS.get(-k) for k in range(-25, 26))
-        assert angular_smooth_coeff(f, TWO_COS) == pytest.approx(loop.real, rel=1e-14)
+        assert angular_smooth_coeff(f, TWO_COS) == pytest.approx(loop.real, rel=1e-14, abs=0.0)
         assert angular_smooth_coeff(f, f) == pytest.approx(
-            sum(k * k * abs(f.get(k)) ** 2 for k in range(-25, 26)), rel=1e-13)
+            sum(k * k * abs(f.get(k)) ** 2 for k in range(-25, 26)), rel=1e-13, abs=0.0)
 
     def test_log_law_ratio_shrinks_like_inverse_log(self):
         # exact = (log N)/2 + const for 2cos: (ratio-1)*log N is flat ~4.35
@@ -98,6 +98,9 @@ class TestIArg:
             i_arg(0.0)
         with pytest.raises(ValueError):
             i_arg(-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                i_arg(bad)
 
     def test_vanishes_at_zero(self):
         assert i_arg(1e-6) <= 1e-3
@@ -147,6 +150,9 @@ class TestIMod:
     def test_domain(self):
         with pytest.raises(ValueError):
             i_mod(0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                i_mod(bad)
 
     def test_small_c_linear_law(self):
         c = 0.01
@@ -208,7 +214,7 @@ class TestRegimeDispatch:
 
     def test_angular_fixed_prediction(self):
         rep = count_var_prediction(4096, math.pi / 2.0, "angular")
-        assert rep.predicted == pytest.approx(64.0 / math.pi**1.5, rel=1e-12)
+        assert rep.predicted == pytest.approx(64.0 / math.pi**1.5, rel=1e-12, abs=0.0)
         assert abs(rep.ratio - 1.0) <= 0.05
 
     def test_angular_fixed_log_band_regression(self):
@@ -219,7 +225,7 @@ class TestRegimeDispatch:
 
     def test_radial_fixed_prediction(self):
         rep = count_var_prediction(10_000, (0.4, 0.8), "radial")
-        assert rep.predicted == pytest.approx(100.0 * 1.2 / math.sqrt(math.pi), rel=1e-12)
+        assert rep.predicted == pytest.approx(100.0 * 1.2 / math.sqrt(math.pi), rel=1e-12, abs=0.0)
         assert abs(rep.ratio - 1.0) <= 1e-3
 
     def test_radial_fixed_law_sqrt_residual(self):
@@ -233,7 +239,7 @@ class TestRegimeDispatch:
         rep = count_var_prediction(n, (a, a + c / math.sqrt(n)), "radial")
         assert rep.regime == "critical"
         assert rep.predicted == pytest.approx(
-            math.sqrt(n) * a / math.sqrt(math.pi) * i_mod(c), rel=1e-10)
+            math.sqrt(n) * a / math.sqrt(math.pi) * i_mod(c), rel=1e-10, abs=0.0)
         assert abs(rep.ratio - 1.0) <= 0.05
 
     def test_subcritical_windows_are_poisson_like(self):
@@ -260,7 +266,7 @@ class TestEdgeworth:
     def test_center_value(self):
         for m in (2, 25, 10_000):
             assert edgeworth_density(0.0, m) == pytest.approx(
-                1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
+                1.0 / math.sqrt(2.0 * math.pi), rel=1e-12, abs=0.0)
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
@@ -269,7 +275,7 @@ class TestEdgeworth:
     def test_reduces_to_gaussian(self):
         for a in (-2.0, -0.5, 1.0, 3.0):
             phi = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
-            assert edgeworth_density(a, 10**12) == pytest.approx(phi, rel=1e-5)
+            assert edgeworth_density(a, 10**12) == pytest.approx(phi, rel=1e-5, abs=0.0)
 
     def test_sup_error_bound_and_slope(self):
         grid = np.linspace(-4.0, 4.0, 801)

@@ -57,8 +57,8 @@ class TestReportEnvelope:
         doc = run_json(capsys, "cov", "radial", "--n", "10",
                        "--f", "poly:0,0,1", "--g", "poly:0,0,1",
                        "--ensemble", "complex")
-        assert doc["outputs"]["cov"] == pytest.approx(0.55, rel=1e-12)
-        assert doc["outputs"]["mean_f"] == pytest.approx(5.5, rel=1e-12)
+        assert doc["outputs"]["cov"] == pytest.approx(0.55, rel=1e-12, abs=0.0)
+        assert doc["outputs"]["mean_f"] == pytest.approx(5.5, rel=1e-12, abs=0.0)
 
     def test_exact_rerun_is_bit_identical(self, capsys):
         argv = ("cov", "angular", "--n", "32", "--f", "cos:1,2", "--g", "cos:1,2")
@@ -130,6 +130,24 @@ class TestExitCodes:
         ("kernel", "dump", "--ell", "two"),
         ("cov", "radial", "--n", "10", "--f", "poly:1", "--g", "poly:1",
          "--threads", "0"),
+        # non-finite input; only a modulus window's upper edge may be inf
+        ("cov", "radial", "--n", "4", "--f", "poly:nan", "--g", "poly:1"),
+        ("cov", "radial", "--n", "4", "--f", "poly:inf", "--g", "poly:1"),
+        ("cov", "radial", "--n", "4", "--f", "ind-mod:nan,0.8", "--g", "poly:1"),
+        ("cov", "radial", "--n", "4", "--f", "ind-mod:0.4,nan", "--g", "poly:1"),
+        ("cov", "angular", "--n", "8", "--f", "cos:1,inf", "--g", "cos:1"),
+        ("count", "var", "--kind", "radial", "--n", "16", "--window", "inf,inf"),
+        ("count", "var", "--kind", "angular", "--n", "16", "--arc", "0,nan"),
+        ("asymptotics", "table", "--function", "i-arg", "--args", "nan"),
+        ("asymptotics", "table", "--function", "i-arg", "--args", "inf"),
+        ("asymptotics", "table", "--function", "i-mod", "--args", "1,nan"),
+        ("cumulants", "--mode", "annulus", "--n", "16", "--window", "0.4,0.8",
+         "--certify", "--tolerance", "nan"),
+        ("cumulants", "--mode", "annulus", "--n", "16", "--window", "0.4,0.8",
+         "--certify", "--tolerance", "-1"),
+        ("cumulants", "--mode", "annulus", "--n", "16", "--window", "0.4,0.8",
+         "--certify", "--tolerance", "inf"),
+        ("clt", "test", "--n", "8", "--samples", "200", "--statistic", "poly:1"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -193,17 +211,27 @@ class TestCount:
                        "--compare-asymptotic")
         out = doc["outputs"]
         assert out["var"] == pytest.approx(
-            angular_count_var(4096, ArcWindow.symmetric(math.pi / 2.0)), rel=1e-12)
+            angular_count_var(4096, ArcWindow.symmetric(math.pi / 2.0)), rel=1e-12, abs=0.0)
         assert out["predicted"] == pytest.approx(
-            math.sqrt(4096.0) / math.pi ** 1.5, rel=1e-12)
+            math.sqrt(4096.0) / math.pi ** 1.5, rel=1e-12, abs=0.0)
         assert out["regime"] == "fixed"
         assert abs(out["ratio"] - 1.0) <= 0.05
-        assert out["mean"] == pytest.approx(1024.0, rel=1e-12)
+        assert out["mean"] == pytest.approx(1024.0, rel=1e-12, abs=0.0)
 
     def test_radial_var_matches_library(self, capsys):
         doc = run_json(capsys, "count", "var", "--kind", "radial", "--n", "64",
                        "--window", "0.4,0.8")
         assert doc["outputs"]["var"] == radial_count_var(64, 0.4, 0.8)
+
+    def test_window_upper_edge_may_be_infinite(self, capsys):
+        # the one non-finite value the parser admits: an open modulus window
+        doc = run_json(capsys, "count", "var", "--kind", "radial", "--n", "64",
+                       "--window", "0.4,inf")
+        assert doc["outputs"]["var"] == radial_count_var(64, 0.4, math.inf)
+        doc = run_json(capsys, "cov", "radial", "--n", "16", "--f", "ind-mod:0.4,inf",
+                       "--g", "ind-mod:0.4,inf")
+        ind = RadialTestFunction.indicator(0.4, math.inf)
+        assert doc["outputs"]["cov"] == radial_cov_exact(ind, ind, 16)
 
     def test_radial_cov(self, capsys):
         doc = run_json(capsys, "count", "cov", "--kind", "radial", "--n", "50",
@@ -236,7 +264,7 @@ class TestCovAngular:
                        "--f", f"fourier:@{path}", "--g", "cos:1")
         ref = angular_cov_exact(read_fourier_file(path, real=True),
                                 FourierStatistic.cosine(1), 12)
-        assert doc["outputs"]["cov"] == pytest.approx(ref, rel=1e-14)
+        assert doc["outputs"]["cov"] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestAsymptotics:
@@ -271,10 +299,10 @@ class TestCumulants:
                        "--window", "0.4,0.8", "--n-max", "4", "--certify")
         out = doc["outputs"]
         cs = cumulants_from_gram(gram_annulus(64, 0.4, 0.8), 4)
-        assert out["cumulants"] == pytest.approx(list(cs.c), rel=1e-14)
+        assert out["cumulants"] == pytest.approx(list(cs.c), rel=1e-14, abs=0.0)
         assert len(out["cluster"]) == 4
         assert out["cumulants"][1] == pytest.approx(
-            radial_count_var(64, 0.4, 0.8), rel=1e-12)
+            radial_count_var(64, 0.4, 0.8), rel=1e-12, abs=0.0)
         assert isinstance(out["certified"], bool)
         assert out["tolerance"] == 0.1
 
@@ -282,14 +310,14 @@ class TestCumulants:
         doc = run_json(capsys, "cumulants", "--mode", "sector", "--n", "48",
                        "--arc=-0.7,0.7", "--n-max", "2")
         assert doc["outputs"]["cumulants"][1] == pytest.approx(
-            angular_count_var(48, ArcWindow(-0.7, 0.7)), rel=1e-9)
+            angular_count_var(48, ArcWindow(-0.7, 0.7)), rel=1e-9, abs=0.0)
 
     def test_quaternion_annulus(self, capsys):
         from ginfluct.radial import Ensemble
         doc = run_json(capsys, "cumulants", "--mode", "quaternion-annulus",
                        "--n", "48", "--window", "0.4,0.8", "--n-max", "2")
         ref = radial_count_var(48, 0.4, 0.8, Ensemble.QUATERNION)
-        assert doc["outputs"]["cumulants"][1] == pytest.approx(ref, rel=1e-12)
+        assert doc["outputs"]["cumulants"][1] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestMcRun:
@@ -300,7 +328,7 @@ class TestMcRun:
         out = doc["outputs"]
         assert doc["inputs"]["sampler"] == "gamma"
         assert out["exact"] == pytest.approx(radial_count_var(64, 0.4, 0.8),
-                                             rel=1e-12)
+                                             rel=1e-12, abs=0.0)
         assert {"mean", "mean_se", "var", "var_se", "z_score"} <= out.keys()
         assert abs(out["z_score"]) <= 4.0
 
@@ -326,7 +354,7 @@ class TestMcRun:
         out = doc["outputs"]
         exact = radial_cov_exact(RadialTestFunction.poly([0.0, 1.0]),
                                  RadialTestFunction.poly([0.0, 0.0, 1.0]), 24)
-        assert out["exact"] == pytest.approx(exact, rel=1e-12)
+        assert out["exact"] == pytest.approx(exact, rel=1e-12, abs=0.0)
         assert abs(out["cov"] - exact) <= 4.0 * out["cov_se"]
 
     def test_matrix_sampler_arc_count(self, capsys):
@@ -369,7 +397,7 @@ class TestMcRun:
         assert batch.size == 300
         assert batch.seed == 9
         assert float(np.mean(batch.values)) == pytest.approx(
-            doc["outputs"]["mean"], rel=1e-12)
+            doc["outputs"]["mean"], rel=1e-12, abs=0.0)
         lines = csv_path.read_text().splitlines()
         assert lines[1] == "index,value"
         assert len(lines) == 302
@@ -415,7 +443,7 @@ class TestKernelDump:
         assert len([r for r in fourier if r["ell"] == 0]) == 2
         assert len([r for r in fourier if r["ell"] == 3]) == 5
         k0 = [r for r in fourier if r["ell"] == 0 and r["index"] == 0]
-        assert k0[0]["value"] == pytest.approx(1.0, rel=1e-12)
+        assert k0[0]["value"] == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "dump", "--ell", "1",

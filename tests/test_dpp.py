@@ -11,15 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from ginfluct.angular import ArcWindow, angular_count_var
+from ginfluct.angular import ArcWindow, angular_count_cov, angular_count_var
 from ginfluct.dpp import (
     CltReport,
     CumulantSet,
-    GramOperator,
     clt_certificate,
     cumulant_bound_factor,
     cumulants_from_gram,
-    cumulants_permanental,
     gram_annulus,
     gram_sector,
 )
@@ -37,15 +35,14 @@ from oracles import (
 class TestGramAnnulus:
     def test_full_plane_is_identity(self):
         g = gram_annulus(16, 0.0, math.inf)
-        assert g.structure == "diagonal"
-        np.testing.assert_allclose(g.diag, 1.0, rtol=0.0, atol=1e-14)
-        assert g.trace() == pytest.approx(16.0, rel=1e-14, abs=0.0)
+        np.testing.assert_allclose(g, 1.0, rtol=0.0, atol=1e-14)
+        assert math.fsum(g) == pytest.approx(16.0, rel=1e-14, abs=0.0)
 
     def test_entries_match_radial_probabilities(self):
         n, a, b = 64, 0.4, 0.8
         g = gram_annulus(n, a, b)
         p = count_probabilities(n, a, b)
-        np.testing.assert_allclose(g.diag, p, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(g, p, rtol=0.0, atol=1e-12)
 
     def test_variance_identity_with_radial_module(self):
         n, a, b = 256, 0.4, 0.8
@@ -60,26 +57,25 @@ class TestGramAnnulus:
         with pytest.raises(ValueError):
             gram_annulus(4, math.nan, 0.2)
 
-    def test_diagonal_eigenvalues_are_sorted_probabilities(self):
+    def test_diagonal_entries_are_probabilities(self):
         g = gram_annulus(20, 0.5, 0.9)
-        ev = g.eigenvalues()
-        assert np.all(np.diff(ev) >= 0.0)
-        assert ev.min() >= 0.0 and ev.max() <= 1.0
+        assert g.min() >= 0.0 and g.max() <= 1.0
 
 
 class TestGramSector:
     def test_full_circle_is_identity(self):
         g = gram_sector(12, ArcWindow(-math.pi, math.pi))
-        np.testing.assert_allclose(g.matrix, np.eye(12), rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(g, np.eye(12), rtol=0.0, atol=1e-13)
 
     def test_trace_counts_mean(self):
         arc = ArcWindow(-0.4, 1.0)
         g = gram_sector(40, arc)
-        assert g.trace() == pytest.approx(40.0 * arc.length / (2.0 * math.pi), rel=1e-12, abs=0.0)
+        assert math.fsum(np.diagonal(g).real) == pytest.approx(
+            40.0 * arc.length / (2.0 * math.pi), rel=1e-12, abs=0.0)
 
     def test_hermitian(self):
         g = gram_sector(24, ArcWindow(-1.2, 0.3))
-        np.testing.assert_allclose(g.matrix, g.matrix.conj().T, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(g, g.conj().T, rtol=0.0, atol=1e-15)
 
     def test_variance_identity_with_angular_module(self):
         n = 128
@@ -89,7 +85,7 @@ class TestGramSector:
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_spectrum_in_unit_interval(self, n):
-        ev = gram_sector(n, ArcWindow(-0.9, 0.7)).eigenvalues()
+        ev = np.linalg.eigvalsh(gram_sector(n, ArcWindow(-0.9, 0.7)))
         assert ev.min() >= -1e-10
         assert ev.max() <= 1.0 + 1e-10
 
@@ -99,20 +95,35 @@ class TestGramSector:
         cs = cumulants_from_gram(g, 4)
         m = np.eye(10, dtype=complex)
         for k in range(1, 5):
-            m = m @ g.matrix
+            m = m @ g
             ref = (-1.0) ** (k - 1) * math.factorial(k - 1) * float(np.trace(m).real)
             assert cs.cluster(k) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_single_point_sector(self):
         arc = ArcWindow(-0.2, 0.9)
         g = gram_sector(1, arc)
-        assert g.matrix[0, 0] == pytest.approx(arc.length / (2.0 * math.pi), rel=1e-13, abs=0.0)
+        assert g[0, 0] == pytest.approx(arc.length / (2.0 * math.pi), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [16, 64, 200])
+    @pytest.mark.parametrize("arc1,arc2", [
+        (ArcWindow(0.3, 1.1), ArcWindow(-2.0, 2.5)),      # nested
+        (ArcWindow(-0.01, 0.02), ArcWindow(-0.5, 1.5)),   # tiny arc inside
+        (ArcWindow(-1.0, 0.4), ArcWindow(0.1, 2.9)),      # overlapping ends
+        (ArcWindow(-3.0, -1.0), ArcWindow(0.2, 0.9)),     # disjoint
+    ])
+    def test_pair_covariance_matches_angular_module(self, n, arc1, arc2):
+        # Cov(#A, #B) = N |A n B|/2pi - Tr(G_A G_B) depends on where the arcs
+        # sit, not only on their spectra, so it sees the arcs' phases
+        ga, gb = gram_sector(n, arc1), gram_sector(n, arc2)
+        overlap = max(0.0, min(arc1.beta, arc2.beta) - max(arc1.alpha, arc2.alpha))
+        cov = n * overlap / (2.0 * math.pi) - float(np.sum(ga * gb.T).real)
+        assert cov == pytest.approx(angular_count_cov(n, arc1, arc2), rel=1e-10, abs=0.0)
 
 
 class TestQuaternionProbabilities:
     def test_variance_identity(self):
         n, a, b = 256, 0.4, 0.8
-        cs = cumulants_permanental(count_probabilities(n, a, b, Ensemble.QUATERNION), 2)
+        cs = cumulants_from_gram(count_probabilities(n, a, b, Ensemble.QUATERNION), 2)
         ref = radial_count_var(n, a, b, Ensemble.QUATERNION)
         assert cs.cumulant(2) == pytest.approx(ref, abs=1e-12)
 
@@ -120,21 +131,23 @@ class TestQuaternionProbabilities:
 class TestCumulants:
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            cumulants_permanental([0.5], 0)
+            cumulants_from_gram([0.5], 0)
         with pytest.raises(ValueError):
-            cumulants_permanental([0.5], 13)
+            cumulants_from_gram([0.5], 13)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
-            cumulants_permanental([], 2)
+            cumulants_from_gram([], 2)
         with pytest.raises(ValueError):
-            cumulants_permanental([-0.1, 0.5], 2)
+            cumulants_from_gram([-0.1, 0.5], 2)
         with pytest.raises(ValueError):
-            cumulants_permanental([0.5, 1.2], 2)
+            cumulants_from_gram([0.5, 1.2], 2)
+        with pytest.raises(ValueError):
+            cumulants_from_gram([0.5, math.nan], 2)
 
     def test_low_order_identities(self):
         p = np.array([0.1, 0.35, 0.8, 0.99])
-        cs = cumulants_permanental(p, 4)
+        cs = cumulants_from_gram(p, 4)
         assert cs.cumulant(1) == pytest.approx(float(p.sum()), rel=1e-14, abs=0.0)
         assert cs.cumulant(2) == pytest.approx(float((p * (1 - p)).sum()), rel=1e-13, abs=0.0)
         assert cs.cumulant(3) == pytest.approx(
@@ -143,11 +156,11 @@ class TestCumulants:
             float((p * (1 - p) * (1 - 6 * p + 6 * p * p)).sum()), rel=1e-11, abs=0.0)
 
     def test_symmetric_bernoulli_has_no_skew(self):
-        cs = cumulants_permanental([0.5], 3)
+        cs = cumulants_from_gram([0.5], 3)
         assert cs.cumulant(3) == pytest.approx(0.0, abs=1e-15)
 
     def test_simple_variance_example(self):
-        cs = cumulants_permanental([0.2, 0.7], 2)
+        cs = cumulants_from_gram([0.2, 0.7], 2)
         assert cs.cumulant(2) == pytest.approx(0.37, rel=1e-13, abs=0.0)
 
     def test_against_exact_enumeration(self):
@@ -156,37 +169,31 @@ class TestCumulants:
         for _ in range(5):
             n = int(rng.integers(2, 11))
             p = rng.random(n)
-            cs = cumulants_permanental(p, 6)
+            cs = cumulants_from_gram(p, 6)
             ref = cumulants_from_pmf(bernoulli_count_pmf(p), 6)
             for order in range(1, 7):
                 assert cs.cumulant(order) == pytest.approx(
                     ref[order - 1], rel=1e-9, abs=1e-10)
 
     def test_cluster_integral_signs(self):
-        cs = cumulants_permanental([0.3, 0.6, 0.9], 5)
+        cs = cumulants_from_gram([0.3, 0.6, 0.9], 5)
         for k in range(1, 6):
             sign = (-1.0) ** (k - 1)
             assert sign * cs.cluster(k) >= 0.0
 
-    def test_diagonal_gram_is_bitwise_permanental(self):
-        p = np.array([0.11, 0.53, 0.97])
-        g = GramOperator(n=3, structure="diagonal", diag=p)
-        a = cumulants_from_gram(g, 6)
-        b = cumulants_permanental(p, 6)
-        assert a.u == b.u and a.c == b.c
-
     def test_dense_route_agrees_on_diagonal_matrices(self):
         # a matrix operator goes through its eigenvalues, which here are p
         p = np.array([0.15, 0.4, 0.85, 0.6])
-        dense = GramOperator(n=4, structure="sector", matrix=np.diag(p).astype(complex))
-        a = cumulants_from_gram(dense, 6)
-        b = cumulants_permanental(p, 6)
+        a = cumulants_from_gram(np.diag(p).astype(complex), 6)
+        b = cumulants_from_gram(p, 6)
         for order in range(1, 7):
             assert a.cumulant(order) == pytest.approx(b.cumulant(order), rel=1e-12, abs=0.0)
 
-    def test_unknown_structure_rejected(self):
-        with pytest.raises(ValueError):
-            GramOperator(n=2, structure="dense", matrix=np.eye(2, dtype=complex))
+    def test_bad_shape_rejected(self):
+        # neither a diagonal nor a square matrix: 2 x 3, 3-d, and a scalar
+        for g in (np.full((2, 3), 0.5), np.full((2, 2, 2), 0.5), 0.5):
+            with pytest.raises(ValueError):
+                cumulants_from_gram(g, 2)
 
     def test_sector_low_orders_match_angular_module(self):
         n = 96
@@ -197,7 +204,7 @@ class TestCumulants:
         assert cs.cumulant(2) == pytest.approx(angular_count_var(n, arc), rel=1e-9, abs=0.0)
 
     def test_out_of_range_order_lookup(self):
-        cs = cumulants_permanental([0.5], 3)
+        cs = cumulants_from_gram([0.5], 3)
         with pytest.raises(ValueError):
             cs.cumulant(4)
         with pytest.raises(ValueError):
@@ -209,7 +216,8 @@ class TestCumulants:
     ])
     def test_trace_power_deficit_bounds(self, maker):
         # 0 <= Tr(G - G^l) <= (l-1) Tr(G - G^2) for projections' restrictions
-        ev = maker().eigenvalues()
+        g = maker()
+        ev = g if g.ndim == 1 else np.linalg.eigvalsh(g)
         traces = [math.fsum(ev ** k) for k in range(1, 7)]
         t1 = traces[0]
         var = t1 - traces[1]
@@ -243,12 +251,12 @@ class TestExtendedPrecisionReference:
     def test_annulus(self, n, a, b):
         g = gram_annulus(n, a, b)
         cs = cumulants_from_gram(g, 12)
-        self._assert_close(cs, cumulants_from_spectrum_mp(g.diag, 12))
+        self._assert_close(cs, cumulants_from_spectrum_mp(g, 12))
 
 
 class TestCltCertificate:
     def test_deterministic_count_rejected(self):
-        cs = cumulants_permanental([1.0, 1.0], 4)
+        cs = cumulants_from_gram([1.0, 1.0], 4)
         with pytest.raises(ValueError):
             clt_certificate(cs)
 
@@ -273,17 +281,20 @@ class TestCltCertificate:
         for cs in (
             cumulants_from_gram(gram_annulus(256, 0.4, 0.8), 6),
             cumulants_from_gram(gram_sector(96, ArcWindow.symmetric(1.0)), 6),
-            cumulants_permanental(np.linspace(0.05, 0.95, 17), 6),
+            cumulants_from_gram(np.linspace(0.05, 0.95, 17), 6),
         ):
             rep = clt_certificate(cs)
             assert 0.0 < rep.bound_witness <= 1.0
 
     def test_tolerance_controls_certification(self):
-        cs = cumulants_permanental([0.02, 0.03, 0.05], 3)  # very skewed
+        cs = cumulants_from_gram([0.02, 0.03, 0.05], 3)  # very skewed
         strict = clt_certificate(cs, tolerance=1e-3)
         loose = clt_certificate(cs, tolerance=10.0)
         assert not strict.certified
         assert loose.certified
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                clt_certificate(cs, tolerance=bad)
 
     def test_bound_factor_values(self):
         # B_2 = 1, B_3 = S(3,2) 1! 1 + S(3,3) 2! 2 = 3 + 4 = 7

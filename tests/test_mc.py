@@ -75,7 +75,7 @@ class TestRadialSampler:
     def test_variance_of_squared_radius_sum(self):
         f = RadialTestFunction.poly([0.0, 0.0, 1.0])
         exact = radial_cov_exact(f, f, 10)
-        assert exact == pytest.approx(0.55, rel=1e-12)
+        assert exact == pytest.approx(0.55, rel=1e-12, abs=0.0)
         r = sample_radial_moduli(10, Ensemble.COMPLEX, RngStream(2026, 2),
                                  size=100_000)
         var, se = estimate_cov((r * r).sum(axis=1), (r * r).sum(axis=1))
@@ -203,7 +203,7 @@ class TestEstimators:
         rng = np.random.default_rng(1)
         v = rng.standard_normal(500)
         cov, _ = estimate_cov(v, v)
-        assert cov == pytest.approx(float(np.var(v, ddof=1)), rel=1e-12)
+        assert cov == pytest.approx(float(np.var(v, ddof=1)), rel=1e-12, abs=0.0)
 
     def test_jackknife_matches_direct_leave_one_out(self):
         rng = np.random.default_rng(2)
@@ -215,7 +215,7 @@ class TestEstimators:
             float(np.cov(np.delete(f, i), np.delete(g, i), ddof=1)[0, 1])
             for i in range(s)])
         ref = math.sqrt((s - 1) / s * np.sum((loo - loo.mean()) ** 2))
-        assert se == pytest.approx(ref, rel=1e-10)
+        assert se == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_angular_cov_triangle(self):
         n, reps = 32, 20_000
@@ -232,6 +232,8 @@ class TestKsTest:
     def test_validation(self):
         with pytest.raises(ValueError):
             ks_normal_test(np.zeros(99))
+        with pytest.raises(ValueError):
+            ks_normal_test(np.full(200, 8.0))   # no spread to studentize
 
     def test_threshold_field(self):
         res = ks_normal_test(RngStream(3).generator().standard_normal(400))
