@@ -66,13 +66,13 @@ def radial_smooth_limit(f: RadialTestFunction, g: RadialTestFunction,
                         f_prime=None, g_prime=None) -> float:
     """Limit covariance for smooth radial statistics: (1/2) int_0^1 f'g' r dr.
 
-    Polynomial statistics differentiate themselves; callable ones must come
-    with their derivative.  Indicators are rejected (no derivative).
+    Polynomials on [0, inf) differentiate themselves; callable ones must
+    come with their derivative.  Windowed ones (indicators) are rejected.
     """
     def deriv(h: RadialTestFunction, supplied):
         if supplied is not None:
             return supplied
-        if h.kind == "poly":
+        if h.fn is None and h.window == (0.0, math.inf):
             return _poly_derivative(h.coeffs)
         raise ValueError("need an explicit derivative for non-polynomial statistics")
 

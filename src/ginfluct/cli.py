@@ -304,9 +304,7 @@ def cmd_asymptotics(args) -> tuple[dict, dict]:
     if args.function is not None:
         from .asymptotics import i_arg, i_mod
 
-        fn = {"i-arg": i_arg, "i-mod": i_mod}.get(args.function)
-        if fn is None:
-            raise UsageError("--function must be i-arg or i-mod")
+        fn = {"i-arg": i_arg, "i-mod": i_mod}[args.function]
         if not args.args:
             raise UsageError("--args list required with --function")
         points = _floats(args.args, what="argument")
@@ -473,8 +471,8 @@ def cmd_clt(args) -> tuple[dict, dict]:
     rng = RngStream(seed=args.seed, stream=args.stream)
     inputs = {"n": args.n, "samples": args.samples, "seed": args.seed,
               "ensemble": ens.value, "statistic": args.statistic}
-    if tag == "radial" and obj.kind == "indicator":
-        samples = normalized_count_samples(args.n, obj.a, obj.b, ens, rng,
+    if tag == "radial" and obj.fn is None and obj.coeffs == (1.0,):
+        samples = normalized_count_samples(args.n, *obj.window, ens, rng,
                                            args.samples, jitter=not args.no_jitter)
         normalization = "exact-moments+jitter" if not args.no_jitter else "exact-moments"
     elif tag == "radial":
@@ -501,10 +499,12 @@ def cmd_kernel(args) -> tuple[dict, dict]:
         raise UsageError(f"cannot parse --ell list {args.ell!r}") from exc
     if not ells or any(e < 0 for e in ells):
         raise UsageError("--ell needs nonnegative integers")
+    if args.kmax < 0:
+        raise UsageError(f"--kmax must be >= 0, got {args.kmax}")
+    if args.theta_count < 0 or args.theta_count == 1:
+        raise UsageError(f"--theta-count must be 0 or >= 2, got {args.theta_count}")
     rows = []
     if args.theta_count > 0:
-        if args.theta_count < 2:
-            raise UsageError("--theta-count must be >= 2")
         grid = np.linspace(-math.pi, math.pi, args.theta_count)
         for ell in ells:
             vals = kernel_c_eval(ell, grid)

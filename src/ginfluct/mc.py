@@ -238,7 +238,7 @@ def estimate_cov(values_f, values_g) -> tuple[float, float]:
 @dataclass(frozen=True)
 class KsResult:
     statistic: float
-    threshold: float        # 1.63/sqrt(S): 1% level
+    threshold: float        # 1.63/sqrt(S); studentizing puts its level far below 1%
     size: int
     passed: bool = field(init=False)
 

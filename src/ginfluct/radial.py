@@ -6,13 +6,13 @@ exponentials), the variables independent; the quaternion ensemble replaces
 s_l/N by s_{2l}/(2N).  Every mean/covariance/count formula here is a sum of
 one-dimensional gamma expectations.
 
-Polynomials, indicators and their products are all p(r) 1{a <= r <= b}
-(a polynomial on [0, inf), 1 on [a, b], a product with convolved
-coefficients on the intersected window), and one routine returns the N
-per-factor values of E[p(r) 1{a <= r <= b}] from a moment recurrence and
-one incomplete-gamma ladder call per term, with no quadrature; the count
-probabilities are its constant-polynomial case.  Callable statistics and
-log-MGF tilts are Gauss-Legendre integrals in r against the modulus density.
+A `RadialTestFunction` is p(r) 1{a <= r <= b} or a callable; a product of
+two is the convolved polynomial on the intersected window.  One routine
+returns the N per-factor values of E[p(r) 1{a <= r <= b}] from a moment
+recurrence and one incomplete-gamma ladder call per term, with no
+quadrature; count probabilities are its case p = 1.  Callable statistics
+and log-MGF tilts are Gauss-Legendre integrals in r against the modulus
+density, split at the window edges.
 """
 
 from __future__ import annotations
@@ -66,75 +66,62 @@ def _check_window(w: ModulusWindow) -> ModulusWindow:
 
 @dataclass(frozen=True)
 class RadialTestFunction:
-    """Test function of the modulus r >= 0.
+    """Test function of the modulus r >= 0: p(r) 1{a <= r <= b}, or a callable.
 
-    kind "poly": coefficients c_j for sum_j c_j r^j (degree <= 32, exact moments);
-    kind "indicator": 1_{[a,b]} routed through incomplete gammas;
-    kind "callable": arbitrary bounded function, quadratured against the gamma density.
+    Without `fn` it is the polynomial sum_j c_j r^j (degree <= 32) on the
+    window [a, b], 0 <= a <= b <= inf, with exact moments: a polynomial has
+    the window [0, inf), an indicator the coefficients (1,).  With `fn` it
+    is an arbitrary bounded function, evaluable up to r_max and quadratured
+    against the gamma density.
     """
 
-    kind: str
-    coeffs: tuple[float, ...] = ()
-    a: float = 0.0
-    b: float = 0.0
+    coeffs: tuple[float, ...] = (1.0,)
+    window: ModulusWindow = (0.0, math.inf)
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     r_max: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind == "poly":
-            if len(self.coeffs) == 0:
-                raise ValueError("polynomial needs at least one coefficient")
-            if len(self.coeffs) - 1 > MAX_POLY_DEGREE:
-                raise ValueError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
-        elif self.kind == "indicator":
-            if not 0.0 <= self.a <= self.b:
-                raise ValueError(f"indicator needs 0 <= a <= b, got [{self.a}, {self.b}]")
-        elif self.kind == "callable":
-            if self.fn is None:
-                raise ValueError("callable kind needs fn")
+        if self.fn is not None:
             if self.r_max < 2.0:
                 raise ValueError(f"callable domain must reach r_max >= 2, got {self.r_max}")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+            return
+        if not 1 <= len(self.coeffs) <= MAX_POLY_DEGREE + 1:
+            raise ValueError(f"polynomial needs 1 to {MAX_POLY_DEGREE + 1} coefficients")
+        object.__setattr__(self, "window", _check_window(self.window))
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def poly(cls, coeffs: Sequence[float]) -> "RadialTestFunction":
-        return cls(kind="poly", coeffs=tuple(float(c) for c in coeffs))
+        return cls(coeffs=tuple(float(c) for c in coeffs))
 
     @classmethod
     def indicator(cls, a: float, b: float) -> "RadialTestFunction":
-        return cls(kind="indicator", a=float(a), b=float(b))
+        return cls(window=(a, b))
 
     @classmethod
     def from_callable(cls, fn: Callable, r_max: float = 4.0) -> "RadialTestFunction":
-        return cls(kind="callable", fn=fn, r_max=float(r_max))
+        return cls(fn=fn, r_max=float(r_max))
 
     # -- evaluation (MC estimators and quadrature both use this) --------
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if self.kind == "poly":
-            out = np.zeros_like(r)
-            for c in reversed(self.coeffs):
-                out = out * r + c
-            return out
-        if self.kind == "indicator":
-            return ((r >= self.a) & (r <= self.b)).astype(float)
-        return np.asarray(self.fn(r), dtype=float)
+        if self.fn is not None:
+            return np.asarray(self.fn(r), dtype=float)
+        # Horner in place: a moduli batch is the size of the sample
+        out = np.full_like(r, self.coeffs[-1])
+        for c in self.coeffs[-2::-1]:
+            out *= r
+            out += c
+        a, b = self.window
+        out[(r < a) | (r > b)] = 0.0
+        return out
 
 
 # ---------------------------------------------------------------------------
 # one-factor expectations
 # ---------------------------------------------------------------------------
-
-def _poly_window(h: RadialTestFunction) -> tuple[tuple[float, ...], ModulusWindow]:
-    """A non-callable statistic as p(r) 1{a <= r <= b}: (coefficients, window)."""
-    if h.kind == "poly":
-        return h.coeffs, (0.0, math.inf)
-    return (1.0,), (h.a, h.b)
-
 
 def _window_moments(coeffs: Sequence[float], window: ModulusWindow, n: int,
                     ens: Ensemble) -> np.ndarray:
@@ -203,10 +190,10 @@ def _callable_product_mean(f: RadialTestFunction, g: RadialTestFunction,
                            shape: float, scale: float) -> float:
     """E[f(r) g(r)] under one gamma factor by quadrature, split at any jumps."""
     for h in (f, g):
-        if h.kind == "callable":
+        if h.fn is not None:
             _check_callable_window(h, shape, scale)
-    # an infinite upper edge falls outside the window and is dropped there
-    breaks = [x for h in (f, g) if h.kind == "indicator" for x in (h.a, h.b)]
+    # an edge at 0 or +inf falls outside the window and is dropped there
+    breaks = [x for h in (f, g) if h.fn is None for x in h.window]
 
     def integrand(r: np.ndarray, logdens: np.ndarray) -> np.ndarray:
         return f.evaluate(r) * g.evaluate(r) * np.exp(logdens)
@@ -226,11 +213,11 @@ def _check_callable_window(f: RadialTestFunction, shape: float, scale: float) ->
 def _factor_means(f: RadialTestFunction, g: RadialTestFunction, n: int,
                   ens: Ensemble) -> np.ndarray:
     """E[f(r) g(r)] for each of the N gamma factors."""
-    if f.kind != "callable" and g.kind != "callable":
-        (cf, wf), (cg, wg) = _poly_window(f), _poly_window(g)
-        lo, hi = max(wf[0], wg[0]), min(wf[1], wg[1])
+    if f.fn is None and g.fn is None:
+        lo, hi = max(f.window[0], g.window[0]), min(f.window[1], g.window[1])
         # disjoint windows meet in the empty window [lo, lo]
-        return _window_moments(np.convolve(cf, cg).tolist(), (lo, max(lo, hi)), n, ens)
+        return _window_moments(np.convolve(f.coeffs, g.coeffs).tolist(), (lo, max(lo, hi)),
+                               n, ens)
     scale = ens.scale(n)
     return np.array([_callable_product_mean(f, g, ens.shape(l), scale)
                      for l in range(1, n + 1)])
@@ -240,7 +227,7 @@ def _factor_means(f: RadialTestFunction, g: RadialTestFunction, n: int,
 # public sums over the N factors
 # ---------------------------------------------------------------------------
 
-_ONE = RadialTestFunction.poly([1.0])
+_ONE = RadialTestFunction()
 
 
 def radial_mean_exact(f: RadialTestFunction, n: int, ens: Ensemble = Ensemble.COMPLEX) -> float:
@@ -282,17 +269,12 @@ def radial_count_var(n: int, a: float, b: float,
 
 def radial_count_cov(n: int, w1: ModulusWindow, w2: ModulusWindow,
                      ens: Ensemble = Ensemble.COMPLEX) -> float:
-    """Cov(#w1, #w2) = sum_k [ p_k(w1 cap w2) - p_k(w1) p_k(w2) ]."""
-    w1 = _check_window(w1)
-    w2 = _check_window(w2)
-    if w1 == w2:
+    """Cov(#w1, #w2) = sum_k [ p_k(w1 cap w2) - p_k(w1) p_k(w2) ], of two indicators."""
+    f, g = RadialTestFunction(window=w1), RadialTestFunction(window=w2)
+    if f.window == g.window:
         # same expression as the variance, so the two agree bit for bit
-        return radial_count_var(n, *w1, ens)
-    p1 = count_probabilities(n, *w1, ens)
-    p2 = count_probabilities(n, *w2, ens)
-    lo, hi = max(w1[0], w2[0]), min(w1[1], w2[1])
-    # disjoint windows meet in the empty window [lo, lo]
-    return math.fsum(count_probabilities(n, lo, max(lo, hi), ens) - p1 * p2)
+        return radial_count_var(n, *f.window, ens)
+    return radial_cov_exact(f, g, n, ens)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +286,7 @@ def _poly_mgf_divergent(h: RadialTestFunction, lam: float, scale: float) -> bool
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()
     deg = len(coeffs) - 1
-    if deg <= 1 or lam == 0.0:
+    if deg <= 1 or lam == 0.0 or h.window[1] < math.inf:
         return False
     lead = lam * coeffs[-1]
     if deg > 2:
@@ -315,7 +297,7 @@ def _poly_mgf_divergent(h: RadialTestFunction, lam: float, scale: float) -> bool
 def radial_log_mgf(h: RadialTestFunction, lam: float, n: int) -> float:
     """log E[exp(lam X(h))] = sum_k log E[exp(lam h(sqrt(s_k/N)))], complex ensemble.
 
-    An indicator factor is 1 + (e^lam - 1) p_k with p_k from
+    A count factor (p = 1) is 1 + (e^lam - 1) p_k with p_k from
     `count_probabilities`.  Otherwise each factor integrates expm1(lam h)
     against the gamma density (log1p on the way out keeps small-lam
     accuracy); the quadrature window extends adaptively because a positive
@@ -326,11 +308,11 @@ def radial_log_mgf(h: RadialTestFunction, lam: float, n: int) -> float:
     if lam == 0.0:
         return 0.0
     scale = float(n)
-    if h.kind == "poly" and _poly_mgf_divergent(h, lam, scale):
+    if h.fn is None and _poly_mgf_divergent(h, lam, scale):
         raise ValueError("E[exp(lam h)] diverges for every factor: "
                          "lam * (leading coefficient) outgrows the Gaussian weight (k=1)")
-    if h.kind == "indicator":
-        tilted = math.expm1(lam) * count_probabilities(n, h.a, h.b)
+    if h.fn is None and h.coeffs == (1.0,):
+        tilted = math.expm1(lam) * count_probabilities(n, *h.window)
     else:
         tilted = [_tilted_expectation(h, lam, k, scale) for k in range(1, n + 1)]
     total = 0.0
@@ -348,14 +330,15 @@ def _tilted_expectation(h: RadialTestFunction, lam: float, k: int, scale: float)
 
     lo, hi = _gamma_window(k)
     s_max = math.inf
-    if h.kind == "callable":
+    if h.fn is not None:
         _check_callable_window(h, k, scale)
         s_max = scale * h.r_max * h.r_max
-    total = _gamma_integral(tilt, k, scale, lo, hi)
+    # split at the window edges (a callable's default window drops out)
+    total = _gamma_integral(tilt, k, scale, lo, hi, h.window)
     step = hi - lo
     for _ in range(64):
         top = min(hi + step, s_max)
-        piece = _gamma_integral(tilt, k, scale, hi, top)
+        piece = _gamma_integral(tilt, k, scale, hi, top, h.window)
         hi = top
         total += piece
         if abs(piece) < 1e-15 * max(1.0, abs(total)):

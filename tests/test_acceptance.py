@@ -252,12 +252,18 @@ def test_criterion_08_cross_route_triangle():
     acounts = ((ang >= arc.alpha) & (ang < arc.beta)).sum(axis=1).astype(float)
     am_mc, am_se = estimate_mean(acounts)
     av_mc, av_se = estimate_cov(acounts, acounts)
+    # the same matrices' moduli: an annulus leg that does not assume Kostlan
+    mods = np.abs(eigs)
+    mcounts = ((mods >= a) & (mods < b)).sum(axis=1).astype(float)
+    mm_mc, mm_se = estimate_mean(mcounts)
+    mv_mc, mv_se = estimate_cov(mcounts, mcounts)
     z = [abs(m_mc - mean_rad) / m_se, abs(v_mc - var_rad) / v_se,
-         abs(am_mc - mean_arc) / am_se, abs(av_mc - var_arc) / av_se]
+         abs(am_mc - mean_arc) / am_se, abs(av_mc - var_arc) / av_se,
+         abs(mm_mc - mean_rad) / mm_se, abs(mv_mc - var_rad) / mv_se]
     ok = gram_gap <= 1e-8 and max(z) <= 3.0
-    _line(8, ok, f"N=128 annulus+sector: exact vs Gram rel gap {gram_gap:.2e} "
-                 f"(tol 1e-8); MC z-scores {', '.join(f'{v:.2f}' for v in z)} "
-                 f"(tol 3 SE at 2e4 replicas)")
+    _line(8, ok, f"N=128 annulus (gamma and matrix moduli) + sector: exact vs Gram "
+                 f"rel gap {gram_gap:.2e} (tol 1e-8); MC z-scores "
+                 f"{', '.join(f'{v:.2f}' for v in z)} (tol 3 SE at 2e4 replicas)")
 
 
 def test_criterion_09_cumulant_engine():

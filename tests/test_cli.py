@@ -128,6 +128,9 @@ class TestExitCodes:
          "--n-max", "13"),
         ("kernel", "dump", "--ell", "-2"),
         ("kernel", "dump", "--ell", "two"),
+        ("kernel", "dump", "--ell", "4", "--kmax", "-1"),
+        ("kernel", "dump", "--ell", "4", "--kmax", "-3"),
+        ("kernel", "dump", "--ell", "4", "--theta-count", "-4"),
         ("cov", "radial", "--n", "10", "--f", "poly:1", "--g", "poly:1",
          "--threads", "0"),
         # non-finite input; only a modulus window's upper edge may be inf
@@ -163,6 +166,9 @@ class TestExitCodes:
         (("cumulants", "--mode", "annulus", "--n", "16"), "--window"),
         (("asymptotics", "table", "--kind", "radial", "--n-list", "64.7",
           "--window", "0.4,0.8"), "--n-list"),
+        (("kernel", "dump", "--ell", "4", "--kmax", "-1"), "--kmax"),
+        (("kernel", "dump", "--ell", "4", "--kmax", "-3"), "--kmax"),
+        (("kernel", "dump", "--ell", "4", "--theta-count", "-4"), "--theta-count"),
     ])
     def test_missing_or_malformed_flag_is_named(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

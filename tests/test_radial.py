@@ -51,13 +51,9 @@ class TestTestFunctionValidation:
 
     def test_callable_needs_fn_and_domain(self):
         with pytest.raises(ValueError):
-            RadialTestFunction(kind="callable", fn=None)
+            RadialTestFunction(fn=lambda r: r)  # no r_max
         with pytest.raises(ValueError):
             RadialTestFunction.from_callable(lambda r: r, r_max=1.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RadialTestFunction(kind="fourier")
 
     def test_evaluate_matches_kind(self):
         r = np.array([0.0, 0.5, 1.0, 2.0])
@@ -412,6 +408,25 @@ class TestLogMgf:
         n = 4
         num = (radial_log_mgf(f, h, n) - radial_log_mgf(f, -h, n)) / (2.0 * h)
         assert num == pytest.approx(radial_mean_exact(f, n), rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("window", [(0.4, 0.8), (0.0, 0.63), (0.55, 1.3)])
+    @pytest.mark.parametrize("lam", [0.3, -0.7, 2.5])
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_windowed_r_squared_closed_form(self, n, lam, window):
+        # E exp(lam r^2 1{a <= r <= b}) - 1 under Gamma(k)/N is
+        # (1 - lam/N)^-k P_k((N - lam) a^2, (N - lam) b^2) - P_k(N a^2, N b^2);
+        # the tilt jumps at both edges, so the quadrature must split there
+        a, b = window
+        f = RadialTestFunction(coeffs=(0, 0, 1), window=window)
+        with mpmath.workdps(40):
+            lam_mp, a2, b2 = mpmath.mpf(lam), mpmath.mpf(a) ** 2, mpmath.mpf(b) ** 2
+            t = n - lam_mp
+            ref = mpmath.fsum(
+                mpmath.log1p((1 - lam_mp / n) ** -k * mpmath.gammainc(k, t * a2, t * b2,
+                                                                      regularized=True)
+                             - mpmath.gammainc(k, n * a2, n * b2, regularized=True))
+                for k in range(1, n + 1))
+        assert radial_log_mgf(f, lam, n) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
     def test_divergent_tilt_names_offending_factor(self):
         with pytest.raises(ValueError, match="k=1"):
