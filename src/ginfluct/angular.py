@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 MAX_BAND = 4096
+# largest N the exact covariances admit: about 12 sqrt(N) diagonals of length
+# N make the row O(N^1.5), about a second at N = 10^5 and tens near 10^6
+MAX_N = 10 ** 6
+
+# the diagonal sums C_d stop below this fraction of N (see `_sums_through`)
+STOP_FRACTION = 2.0 ** -60
 
 LN2 = math.log(2.0)
 
@@ -270,27 +276,42 @@ def kernel_c_apply_at_zero(ell: int, phi: ConvolvedStatistic) -> complex:
 # ---------------------------------------------------------------------------
 
 def _sums_through(n: int, dmax: int) -> np.ndarray:
-    """C_d = sum_{j<n-d} t(j, d) for d = 0..dmax (dmax < n).  t(j, d) falls
-    with d for every j, so the row stops at the first C_d below 1e-300 and the
-    rest stay zero: they meet folded coefficients <= 1, below any rounding."""
+    """C_d = sum_{j<n-d} t(j, d) for d = 0..dmax (dmax < n), up to the first
+    C_d below STOP_FRACTION * n; the rest stay zero.
+
+    C_d strictly decreases in d.  On even steps every t(j, d) falls by the
+    rational ratio (j + d/2)^2 / ((j + d - 1)(j + d)) < 1; on odd steps
+    Gamma(x + 1/2) / Gamma(x) < sqrt(x) at x = j + d/2 + 1/2 gives
+    t(j, d) / t(j, d - 1) < x / (j + d) <= 1; and the j-range shrinks as d
+    grows.  So every dropped C_d is below 2^-60 n, and the dropped tail of
+    sum_d C_d phihat(d) is below 2^-60 n sum_d |folded(d)|: 1/128 of one
+    rounding (2^-53) of the n phihat(d) terms that N phi(0) already sums.
+    The stop lies near 12 sqrt(n) and below 13 sqrt(n): C_d / n falls about
+    like exp(-d^2 / 4n), and the bound is checked for n <= 400 and at
+    n = 10^3 .. 2.5 10^5.
+    """
     out = np.zeros(dmax + 1)
+    stop = STOP_FRACTION * n
     for d, t in zip(range(dmax + 1), _diagonals(n)):
         out[d] = t[:n - d].sum()
-        if out[d] < 1e-300:
+        if out[d] < stop:
             break
     return out
 
 
 def _diagonal_sums(n: int, dmax: int) -> np.ndarray:
-    """C_0..C_dmax, from the cached full row once dmax reaches n/2."""
-    if dmax >= n // 2:
+    """C_0..C_dmax.  Both paths sum the same diagonals to the same stop, so a
+    prefix of the cached row equals `_sums_through(n, dmax)` bit for bit; the
+    row is read once dmax reaches n/2, or 13 sqrt(n), which is past the stop."""
+    if dmax >= min(n // 2, 13 * math.isqrt(n)):
         return _row_sums(n)[: dmax + 1]
     return _sums_through(n, dmax)
 
 
 @lru_cache(maxsize=4)
 def _row_sums(n: int) -> np.ndarray:
-    """All diagonal sums C_0..C_{n-1}; O(n^2) once, cached per n."""
+    """All diagonal sums C_0..C_{n-1}, zero past the stop of `_sums_through`:
+    about 12 sqrt(n) diagonals of length <= n, once, cached per n."""
     return _sums_through(n, n - 1)
 
 
@@ -302,6 +323,12 @@ def _fourier_sum(n: int, phi0, folded: np.ndarray):
     return n * phi0 - cd[0] * folded[0] - cd[1:] @ folded[1:]
 
 
+def _check_n(n: int) -> None:
+    # before any allocation: the cost grows as N^1.5 (see MAX_N)
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"N must be in 1..{MAX_N}, got {n}")
+
+
 def _finite_or_raise(x, what: str) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -311,8 +338,7 @@ def _finite_or_raise(x, what: str) -> float:
 
 def angular_cov_exact(f: FourierStatistic, g: FourierStatistic, n: int):
     """Cov(X(f), X(g)); real when both statistics are real-valued."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    _check_n(n)
     phi = ConvolvedStatistic.from_pair(f, g)
     total = _fourier_sum(n, phi.phi0, phi.folded()[:n])
     if phi.real_pair:
@@ -347,8 +373,7 @@ def angular_cov_decomposed(f: FourierStatistic, g: FourierStatistic, n: int) -> 
     takes all j < N - floor(d/2), the correction the j >= N - d part, and
     main + correction reproduces the double sum to rounding error at any N.
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    _check_n(n)
     phi = ConvolvedStatistic.from_pair(f, g)
     if not phi.real_pair:
         raise ValueError("decomposition is reported for real statistic pairs")
@@ -369,8 +394,7 @@ def angular_cov_decomposed(f: FourierStatistic, g: FourierStatistic, n: int) -> 
 
 def angular_count_var(n: int, arc: ArcWindow) -> float:
     """Var #{angles in arc}; depends on the arc only through its length."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    _check_n(n)
     q = arc.length / (2.0 * math.pi)
     if q >= 1.0:
         return 0.0  # full circle: the count is deterministically N
@@ -381,8 +405,7 @@ def angular_count_var(n: int, arc: ArcWindow) -> float:
 
 def angular_count_cov(n: int, arc1: ArcWindow, arc2: ArcWindow) -> float:
     """Cov(#arc1, #arc2) via phi = 1_{arc1} * 1~_{arc2}."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    _check_n(n)
     if arc1 == arc2:
         # same expression as the variance, so the two agree bit for bit
         return angular_count_var(n, arc1)

@@ -1,10 +1,11 @@
 """Command-line front end: every library capability behind one binary.
 
 Reports go to stdout (JSON by default, CSV on request), logs to stderr.
-Exit codes: 0 success, 2 usage error or input too large (MemoryError),
-3 numerical failure, 130 interrupted.  Exact computations reproduce
-bit-for-bit on re-run; Monte Carlo reproduces for a fixed --seed.  The
-timing field is informational and excluded from that guarantee.
+Exit codes: 0 success, 2 usage error or input too large (MemoryError, or
+an angular --n above 10^6), 3 numerical failure, 130 interrupted.  Exact
+computations reproduce bit-for-bit on re-run; Monte Carlo reproduces for a
+fixed --seed.  The timing field is informational and excluded from that
+guarantee.
 
 Statistic mini-language:
     poly:c0,c1,...      polynomial in the modulus r
@@ -198,6 +199,14 @@ def _arc_from_args(args):
     raise UsageError("angular window required: --arc alpha,beta or --arc-frac q")
 
 
+def _angular_n(n: int) -> int:
+    from .angular import MAX_N
+
+    if not 1 <= n <= MAX_N:
+        raise UsageError(f"--n must be in 1..{MAX_N} for angular statistics, got {n}")
+    return n
+
+
 def _banded_arc(arc, band: int):
     """Arc-indicator Fourier coefficients truncated to a band (exact when the
     partner statistic is band-limited)."""
@@ -235,11 +244,12 @@ def cmd_cov(args) -> tuple[dict, dict]:
     tag_g, g = parse_statistic(args.g)
     if tag_f != "angular" or tag_g != "angular":
         raise UsageError("cov angular needs band-limited statistics (cos:/sin:/fourier:)")
-    inputs = {"n": args.n, "f": args.f, "g": args.g}
-    value = angular_cov_exact(f, g, args.n)
+    n = _angular_n(args.n)
+    inputs = {"n": n, "f": args.f, "g": args.g}
+    value = angular_cov_exact(f, g, n)
     outputs = {"cov": value}
     if args.decompose:
-        dec = angular_cov_decomposed(f, g, args.n)
+        dec = angular_cov_decomposed(f, g, n)
         outputs.update({
             "main": dec.main,
             "correction": dec.correction,
@@ -274,13 +284,14 @@ def cmd_count(args) -> tuple[dict, dict]:
         raise UsageError("angular counts are exact for the complex ensemble only")
     from .angular import angular_count_cov, angular_count_var
 
+    n = _angular_n(args.n)
     arc = _arc_from_args(args)
-    inputs = {"kind": "angular", "n": args.n, "arc": [arc.alpha, arc.beta]}
+    inputs = {"kind": "angular", "n": n, "arc": [arc.alpha, arc.beta]}
     if args.action == "var":
-        var = angular_count_var(args.n, arc)
-        outputs = {"var": var, "mean": args.n * arc.length / (2.0 * math.pi)}
+        var = angular_count_var(n, arc)
+        outputs = {"var": var, "mean": n * arc.length / (2.0 * math.pi)}
         if compare:
-            outputs.update(_prediction_fields(args.n, arc, "angular"))
+            outputs.update(_prediction_fields(n, arc, "angular"))
         return inputs, outputs
     if args.arc2 is None:
         raise UsageError("count cov needs --arc2 alpha,beta")
@@ -289,7 +300,7 @@ def cmd_count(args) -> tuple[dict, dict]:
 
     arc2 = ArcWindow(alpha=a2, beta=b2)
     inputs["arc2"] = [arc2.alpha, arc2.beta]
-    return inputs, {"cov": angular_count_cov(args.n, arc, arc2)}
+    return inputs, {"cov": angular_count_cov(n, arc, arc2)}
 
 
 def _prediction_fields(n: int, window, kind: str) -> dict:

@@ -24,7 +24,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .specfun import _half_step_log_ratio, gamma_interval_prob, log_gamma, panel_integrate
+from .specfun import (
+    _half_step_log_ratio,
+    gamma_interval_prob,
+    gamma_piece_probs,
+    log_gamma,
+    panel_integrate,
+)
 
 __all__ = [
     "Ensemble",
@@ -72,7 +78,7 @@ class RadialTestFunction:
     window [a, b], 0 <= a <= b <= inf, with exact moments: a polynomial has
     the window [0, inf), an indicator the coefficients (1,).  With `fn` it
     is an arbitrary bounded function, evaluable up to r_max and quadratured
-    against the gamma density.
+    against the gamma density; `coeffs` and `window` keep their defaults.
     """
 
     coeffs: tuple[float, ...] = (1.0,)
@@ -82,8 +88,10 @@ class RadialTestFunction:
 
     def __post_init__(self) -> None:
         if self.fn is not None:
-            if self.r_max < 2.0:
+            if not self.r_max >= 2.0:  # NaN fails too
                 raise ValueError(f"callable domain must reach r_max >= 2, got {self.r_max}")
+            if tuple(self.coeffs) != (1.0,) or tuple(self.window) != (0.0, math.inf):
+                raise ValueError("a callable takes no coeffs or window; fold them into fn")
             return
         if not 1 <= len(self.coeffs) <= MAX_POLY_DEGREE + 1:
             raise ValueError(f"polynomial needs 1 to {MAX_POLY_DEGREE + 1} coefficients")
@@ -267,14 +275,39 @@ def radial_count_var(n: int, a: float, b: float,
     return _count_mean_var(n, a, b, ens)[1]
 
 
+def _piece_probabilities(n: int, edges: Sequence[float], ens: Ensemble) -> np.ndarray:
+    """P(modulus_k between consecutive edges) for k = 1..N, one row per piece:
+    `count_probabilities` of each piece, with one ladder per edge."""
+    scale = ens.scale(n)
+    k = ens.shape(np.arange(1.0, n + 1.0))
+    rungs = np.arange(k[0], k[-1] + 1.0)
+    return gamma_piece_probs(rungs, [scale * e * e for e in edges])[:, ::ens.shape(1)]
+
+
 def radial_count_cov(n: int, w1: ModulusWindow, w2: ModulusWindow,
                      ens: Ensemble = Ensemble.COMPLEX) -> float:
-    """Cov(#w1, #w2) = sum_k [ p_k(w1 cap w2) - p_k(w1) p_k(w2) ], of two indicators."""
-    f, g = RadialTestFunction(window=w1), RadialTestFunction(window=w2)
-    if f.window == g.window:
+    """Cov(#w1, #w2) = sum_k [ p_k(w1 cap w2) - p_k(w1) p_k(w2) ], of two indicators.
+
+    The sorted window edges cut [0, inf) into five pieces of probabilities
+    s_0..s_4.  When the windows overlap, w1 cap w2 is the middle piece and
+    each term is s_2 (s_0 + s_4) - s_1 s_3 if they cross, s_2 (s_0 + s_4) if
+    one holds the other; disjoint windows are s_1 and s_3, and the term is
+    -s_1 s_3.  Those products keep their relative accuracy where the plain
+    difference cancels: a factor deep inside one window has p_k = 1 to
+    rounding there, and p_k(w1 cap w2) - p_k(w1) p_k(w2) keeps only the
+    absolute accuracy of 1.
+    """
+    w1, w2 = _check_window(w1), _check_window(w2)
+    if w1 == w2:
         # same expression as the variance, so the two agree bit for bit
-        return radial_count_var(n, *f.window, ens)
-    return radial_cov_exact(f, g, n, ens)
+        return radial_count_var(n, *w1, ens)
+    s = _piece_probabilities(n, [0.0, *sorted(w1 + w2), math.inf], ens)
+    terms = np.zeros(n)
+    if (w1[0] < w2[0]) == (w1[1] < w2[1]):
+        terms -= s[1] * s[3]
+    if max(w1[0], w2[0]) < min(w1[1], w2[1]):
+        terms += s[2] * (s[0] + s[4])
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

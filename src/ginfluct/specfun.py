@@ -20,6 +20,7 @@ __all__ = [
     "regularized_gamma_lower",
     "regularized_gamma_upper",
     "gamma_interval_prob",
+    "gamma_piece_probs",
     "std_normal_cdf",
     "legendre_rule",
     "panel_integrate",
@@ -213,15 +214,39 @@ def gamma_interval_prob(k, lo: float, hi: float):
     accepted; half-integer shapes arise for odd polynomial moments.
     Result is clamped to [0, 1]; hi = inf is allowed.
     """
+    a = _unit_ladder(k)
+    if not 0.0 <= lo <= hi:
+        raise ValueError(f"interval needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    p = _piece(a, lo, hi, _ladder(a, lo), _ladder(a, hi))
+    return p if np.ndim(k) else float(p[0])
+
+
+def gamma_piece_probs(k, edges) -> np.ndarray:
+    """P(e_i <= s <= e_{i+1}) for s ~ Gamma(k) between consecutive edges
+    0 <= e_0 <= e_1 <= ... (inf allowed), one row per piece and one column
+    per shape of the unit ladder k.  Each row is `gamma_interval_prob` of its
+    piece bit for bit; neighbouring pieces share their edge's ladder, so m
+    edges cost m ladders instead of 2(m - 1)."""
+    a = _unit_ladder(k)
+    if len(edges) < 2 or not all(0.0 <= lo <= hi for lo, hi in zip(edges[:-1], edges[1:])):
+        raise ValueError(f"edges need 0 <= e_0 <= e_1 <= ..., got {list(edges)}")
+    ladders = [_ladder(a, x) for x in edges]
+    return np.array([_piece(a, lo, hi, at_lo, at_hi) for lo, hi, at_lo, at_hi
+                     in zip(edges[:-1], edges[1:], ladders[:-1], ladders[1:])])
+
+
+def _unit_ladder(k) -> np.ndarray:
     a = np.array(k, dtype=float, ndmin=1)
     if a.ndim != 1 or not a.size or not a[0] > 0.0 or np.any(np.diff(a) != 1.0):
         raise ValueError(f"shapes must be positive and step by 1, got {k}")
-    if not 0.0 <= lo <= hi:
-        raise ValueError(f"interval needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    at_lo, at_hi = _ladder(a, lo), _ladder(a, hi)
+    return a
+
+
+def _piece(a: np.ndarray, lo: float, hi: float, at_lo: np.ndarray,
+           at_hi: np.ndarray) -> np.ndarray:
+    """P(lo <= s <= hi) from the ladders at its two edges, clamped to [0, 1]."""
     p = np.where(a > hi, at_hi - at_lo, np.where(a <= lo, at_lo - at_hi, 1.0 - at_lo - at_hi))
-    p = np.clip(p, 0.0, 1.0)
-    return p if np.ndim(k) else float(p[0])
+    return np.clip(p, 0.0, 1.0)
 
 
 def _ladder(a: np.ndarray, x: float) -> np.ndarray:

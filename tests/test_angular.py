@@ -7,19 +7,24 @@ library's double sum takes exact rational steps).  Extended-precision sums
 check the rational steps themselves.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginfluct import angular
 from ginfluct.angular import (
     MAX_BAND,
+    MAX_N,
     ArcWindow,
     ConvolvedStatistic,
     FourierStatistic,
     _chat_row,
     _diagonal_sums,
+    _diagonals,
     _row_sums,
     angular_count_cov,
     angular_count_var,
@@ -38,6 +43,7 @@ from oracles import angular_diagonal_sum_mp, kernel_fourier_mp, quad4d_cov
 
 COS = FourierStatistic.cosine(1)
 TWO_COS = FourierStatistic.cosine(1, amplitude=2.0)
+STOP = 2.0 ** -60  # the row stops at the first C_d below STOP * N
 
 
 def random_real_statistic(rng: np.random.Generator, band: int) -> FourierStatistic:
@@ -282,28 +288,93 @@ class TestKernelC:
             assert v == pytest.approx(kernel_fourier_mp(20_000, k), rel=1e-14, abs=0.0)
 
 
+def lgamma_diagonal_sum(n: int, d: int) -> float:
+    """C_d = sum_{l<n-d} Gamma(l+d/2+1)^2 / ((l+d)! l!), term by term in
+    math.lgamma and summed exactly with math.fsum."""
+    return math.fsum(math.exp(2.0 * math.lgamma(l + 0.5 * d + 1.0)
+                              - math.lgamma(l + d + 1.0) - math.lgamma(l + 1.0))
+                     for l in range(n - d))
+
+
+def row_to_underflow(n: int) -> np.ndarray:
+    """C_d over the library's diagonals until C_d < 1e-300: the full row that
+    the stop truncates."""
+    out = np.zeros(n)
+    for d, t in zip(range(n), _diagonals(n)):
+        out[d] = t[:n - d].sum()
+        if out[d] < 1e-300:
+            break
+    return out
+
+
 class TestDiagonalSums:
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
     def test_row_against_lgamma_oracle(self, n):
-        # C_d = sum_{l<n-d} Gamma(l+d/2+1)^2 / ((l+d)! l!), term by term in
-        # math.lgamma and summed exactly with math.fsum
         row = _row_sums(n)
         assert len(row) == n
-        for d in range(n):
-            oracle = math.fsum(
-                math.exp(2.0 * math.lgamma(l + 0.5 * d + 1.0)
-                         - math.lgamma(l + d + 1.0) - math.lgamma(l + 1.0))
-                for l in range(n - d))
-            assert row[d] == pytest.approx(oracle, rel=1e-12, abs=0.0)
-        # the partial rows below n/2 are bitwise prefixes of the cached row
-        for dmax in range(n // 2):
+        stop = int(np.flatnonzero(row)[-1])
+        for d in range(stop + 1):
+            assert row[d] == pytest.approx(lgamma_diagonal_sum(n, d), rel=1e-12, abs=0.0)
+        # strictly decreasing through the stop and zero past it; the first
+        # zeroed sum is below the stop too
+        assert np.all(np.diff(row[: stop + 1]) < 0.0)
+        assert not row[stop + 1:].any()
+        if stop + 1 < n:
+            assert row[stop] < STOP * n <= row[stop - 1]
+            assert lgamma_diagonal_sum(n, stop + 1) < STOP * n
+        # every partial row is a bitwise prefix of the cached row
+        for dmax in range(n):
             assert np.array_equal(_diagonal_sums(n, dmax), row[: dmax + 1])
 
-    @pytest.mark.parametrize("d", [1, 7, 1001, 3000])
+    @pytest.mark.parametrize("d", [1, 7, 1001, 1208, 3000])
     def test_large_n_against_extended_precision(self, d):
-        # the library steps along d, the oracle along j, in 30 digits
-        assert _row_sums(10_240)[d] == pytest.approx(angular_diagonal_sum_mp(10_240, d),
-                                                     rel=1e-14, abs=0.0)
+        # the library steps along d, the oracle along j, in 30 digits.  The
+        # row's last nonzero sum is d = 1208; d = 3000 lies past the stop, so
+        # every d is summed from the library's diagonals directly
+        n = 10_240
+        row = _row_sums(n)
+        assert np.flatnonzero(row)[-1] == 1208
+        got = next(itertools.islice(_diagonals(n), d, None))[:n - d].sum()
+        assert row[d] == (got if d <= 1208 else 0.0)
+        assert got == pytest.approx(angular_diagonal_sum_mp(n, d), rel=1e-14, abs=0.0)
+
+
+class TestRowStop:
+    """The stop at C_d < 2^-60 N against the row summed to underflow."""
+
+    @pytest.mark.parametrize("n", [1024, 10_240, 40_960])
+    def test_results_within_bound_of_full_row(self, n, monkeypatch):
+        rng = np.random.default_rng(13)
+        arcs = [ArcWindow.symmetric(x) for x in (0.05, 0.7, 2.0, 5.5)]
+        pair = (ArcWindow(-2.0, 0.4), ArcWindow(-0.3, 2.9))
+        f, g = random_real_statistic(rng, 4096), random_real_statistic(rng, 4096)
+        calls = [lambda a=a: angular_count_var(n, a) for a in arcs]
+        calls += [lambda: angular_count_cov(n, *pair), lambda: angular_cov_exact(f, g, n)]
+
+        # the scale 2^-60 N sum_d |folded(d)| of each result's dropped tail
+        scales = []
+        fourier_sum = angular._fourier_sum
+
+        def recording(n_, phi0, folded):
+            scales.append(STOP * n_ * np.abs(folded).sum())
+            return fourier_sum(n_, phi0, folded)
+
+        monkeypatch.setattr(angular, "_fourier_sum", recording)
+        got = [call() for call in calls]
+        monkeypatch.setattr(angular, "_fourier_sum", fourier_sum)
+        _row_sums.cache_clear()
+        assert [call() for call in calls] == got  # bit-identical on a fresh row
+        full = row_to_underflow(n)
+        monkeypatch.setattr(angular, "_diagonal_sums", lambda n_, dmax: full[: dmax + 1])
+        ref = [call() for call in calls]
+        for new, want, bound in zip(got, ref, scales):
+            assert abs(new - want) <= bound
+
+    @pytest.mark.parametrize("n", [1024, 10_240, 40_960])
+    def test_row_stops_near_12_sqrt_n(self, n):
+        # timing-free guard against summing the row to underflow (about
+        # 46-49 sqrt(N) diagonals at these N)
+        assert np.flatnonzero(_row_sums(n))[-1] <= 13 * math.sqrt(n)
 
 
 class TestCovExact:
@@ -383,6 +454,23 @@ class TestCovExact:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             angular_cov_exact(COS, COS, 0)
+
+    @pytest.mark.parametrize("call", [
+        lambda n: angular_count_var(n, ArcWindow.symmetric(1.0)),
+        lambda n: angular_count_cov(n, ArcWindow.symmetric(1.0), ArcWindow(0.0, 1.0)),
+        lambda n: angular_cov_exact(COS, COS, n),
+        lambda n: angular_cov_decomposed(COS, COS, n),
+    ], ids=["count_var", "count_cov", "cov_exact", "cov_decomposed"])
+    def test_n_above_cap_fails_before_allocating(self, call):
+        assert MAX_N == 10 ** 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="N must be in"):
+                call(MAX_N + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # one array of N doubles would be 8 MB
 
 
 class TestDecomposed:

@@ -169,6 +169,12 @@ class TestExitCodes:
         (("kernel", "dump", "--ell", "4", "--kmax", "-1"), "--kmax"),
         (("kernel", "dump", "--ell", "4", "--kmax", "-3"), "--kmax"),
         (("kernel", "dump", "--ell", "4", "--theta-count", "-4"), "--theta-count"),
+        # above the angular admission cap of N = 10^6: fails at once
+        (("count", "var", "--kind", "angular", "--n", "1000001", "--arc-frac", "0.25"), "--n"),
+        (("count", "cov", "--kind", "angular", "--n", "1000001", "--arc", "0,1",
+          "--arc2", "0.5,2"), "--n"),
+        (("cov", "angular", "--n", "1000001", "--f", "cos:1", "--g", "cos:1"), "--n"),
+        (("count", "var", "--kind", "angular", "--n", "0", "--arc-frac", "0.25"), "--n"),
     ])
     def test_missing_or_malformed_flag_is_named(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

@@ -25,7 +25,12 @@ from ginfluct.radial import (
 )
 from ginfluct.specfun import gamma_interval_prob
 
-from oracles import quad4d_cov_rt, radial_cov_quad_mp, radial_poly_indicator_cov_mp
+from oracles import (
+    quad4d_cov_rt,
+    radial_count_cov_mp,
+    radial_cov_quad_mp,
+    radial_poly_indicator_cov_mp,
+)
 
 R2 = RadialTestFunction.poly([0.0, 0.0, 1.0])
 R4 = RadialTestFunction.poly([0.0, 0.0, 0.0, 0.0, 1.0])
@@ -54,6 +59,23 @@ class TestTestFunctionValidation:
             RadialTestFunction(fn=lambda r: r)  # no r_max
         with pytest.raises(ValueError):
             RadialTestFunction.from_callable(lambda r: r, r_max=1.5)
+
+    def test_callable_rejects_nan_domain(self):
+        with pytest.raises(ValueError, match="r_max"):
+            RadialTestFunction.from_callable(lambda r: r, r_max=math.nan)
+
+    @pytest.mark.parametrize("extra", [
+        {"window": (0.4, 0.8)},
+        {"window": (0.8, 0.4)},
+        {"window": (0.0, math.nan)},
+        {"coeffs": (0.0, 1.0)},
+    ])
+    def test_callable_rejects_coeffs_and_window(self, extra):
+        # a callable would evaluate past the window and ignore the coefficients
+        with pytest.raises(ValueError, match="callable"):
+            RadialTestFunction(fn=lambda r: np.ones_like(r), r_max=8.0, **extra)
+        # the defaults themselves stay accepted, in either sequence type
+        RadialTestFunction(fn=lambda r: r, r_max=8.0, coeffs=[1.0], window=[0.0, math.inf])
 
     def test_evaluate_matches_kind(self):
         r = np.array([0.0, 0.5, 1.0, 2.0])
@@ -169,6 +191,19 @@ class TestCovExact:
         n = 30
         direct = radial_count_cov(n, (0.2, 0.7), (0.5, 0.9))
         assert radial_cov_exact(f, g, n) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("ens", list(Ensemble))
+    @pytest.mark.parametrize("n", [30, 1024])
+    @pytest.mark.parametrize("w1, w2", [
+        ((0.2, 0.7), (0.5, 0.9)),       # overlapping
+        ((0.3, 1.2), (0.5, 0.8)),       # nested
+        ((0.2, 0.5), (0.6, math.inf)),  # disjoint, one unbounded
+    ])
+    def test_count_cov_against_extended_precision(self, ens, n, w1, w2):
+        # an independent leg: mpmath incomplete gammas of each window and of
+        # their intersection, not the library's product-statistic route
+        ref = radial_count_cov_mp(w1, w2, [ens.shape(l) for l in range(1, n + 1)], ens.scale(n))
+        assert radial_count_cov(n, w1, w2, ens) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("ens", list(Ensemble))
     @pytest.mark.parametrize("b", [1.1, math.inf])

@@ -166,6 +166,22 @@ class TestGammaIntervalProb:
         with pytest.raises(ValueError):
             gamma_interval_prob(shapes, 1.0, 2.0)
 
+    @pytest.mark.parametrize("edges", [(0.0, 16.0, 30.0, 64.0, math.inf), (0.0, 0.0, 5.0, 5.0),
+                                       (2.0, 300.0), (0.0, math.inf)])
+    def test_pieces_match_interval_calls_bitwise(self, edges):
+        # one ladder per edge gives each piece exactly as its own interval call
+        shapes = 1.0 + np.arange(300.0)
+        got = specfun.gamma_piece_probs(shapes, edges)
+        assert got.shape == (len(edges) - 1, len(shapes))
+        for row, lo, hi in zip(got, edges[:-1], edges[1:]):
+            assert np.array_equal(row, gamma_interval_prob(shapes, lo, hi))
+
+    @pytest.mark.parametrize("edges", [(1.0,), (2.0, 1.0), (-1.0, 2.0), (0.0, math.nan, 3.0),
+                                       (0.0, 3.0, 2.0, 4.0)])
+    def test_pieces_reject_unsorted_edges(self, edges):
+        with pytest.raises(ValueError, match="edges"):
+            specfun.gamma_piece_probs(np.arange(1.0, 5.0), edges)
+
     def test_half_integer_ladder_against_extended_precision(self):
         # shapes 1/2, 3/2, ... up to 2 * 10^4 across a window whose edges sit
         # deep inside the ladder
