@@ -71,16 +71,26 @@ def _t1(j):
 
 
 def _diagonals(n: int):
-    """Yield t(j, d) for j < n - floor(d/2), for d = 0, 1, ..., 2n - 1."""
+    """Yield t(j, d) for j < n - floor(d/2), for d = 0, 1, ..., 2n - 1.
+
+    Each parity's diagonal is stepped in place, so a yielded array is valid
+    only until the next diagonal of its parity: read it before advancing.
+    """
     u = np.arange(2.0 * n + 2.0)
-    halves_sq = (0.5 * u) ** 2          # (j + d/2)^2 at index 2j + d
+    # (j + d/2)^2 at index j + floor(d/2): (j + e)^2 for d = 2e, (j + e + 1/2)^2
+    # for d = 2e + 1, one contiguous table per parity
+    e = np.arange(n + 1.0)
+    squares = (e ** 2, (e + 0.5) ** 2)
     pairs = (u - 1.0) * u               # (j + d - 1)(j + d) at index j + d
-    last = [np.ones(n), _t1(u[:n])]     # the latest even and odd diagonals
+    last = (np.ones(n), _t1(u[:n]))     # the latest even and odd diagonals
+    ratio = np.empty(n)
     for d in range(2 * n):
+        m = n - d // 2
         if d >= 2:
-            m = n - d // 2
-            last[d % 2] = last[d % 2][:m] * (halves_sq[d:d + 2 * m:2] / pairs[d:d + m])
-        yield last[d % 2]
+            step = ratio[:m]
+            np.divide(squares[d % 2][d // 2:n], pairs[d:d + m], out=step)
+            np.multiply(last[d % 2][:m], step, out=last[d % 2][:m])
+        yield last[d % 2][:m]
 
 
 # ---------------------------------------------------------------------------

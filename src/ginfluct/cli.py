@@ -1,11 +1,11 @@
 """Command-line front end: every library capability behind one binary.
 
 Reports go to stdout (JSON by default, CSV on request), logs to stderr.
-Exit codes: 0 success, 2 usage error or input too large (MemoryError, or
-an angular --n above 10^6), 3 numerical failure, 130 interrupted.  Exact
-computations reproduce bit-for-bit on re-run; Monte Carlo reproduces for a
-fixed --seed.  The timing field is informational and excluded from that
-guarantee.
+Exit codes: 0 success, 2 usage error or input too large (MemoryError, an
+angular --n above 10^6, or a sector --n above 4096), 3 numerical failure,
+130 interrupted.  Exact computations reproduce bit-for-bit on re-run; Monte
+Carlo reproduces for a fixed --seed.  The timing field is informational and
+excluded from that guarantee.
 
 Statistic mini-language:
     poly:c0,c1,...      polynomial in the modulus r
@@ -199,12 +199,16 @@ def _arc_from_args(args):
     raise UsageError("angular window required: --arc alpha,beta or --arc-frac q")
 
 
+def _capped_n(n: int, cap: int, what: str) -> int:
+    if not 1 <= n <= cap:
+        raise UsageError(f"--n must be in 1..{cap} for {what}, got {n}")
+    return n
+
+
 def _angular_n(n: int) -> int:
     from .angular import MAX_N
 
-    if not 1 <= n <= MAX_N:
-        raise UsageError(f"--n must be in 1..{MAX_N} for angular statistics, got {n}")
-    return n
+    return _capped_n(n, MAX_N, "angular statistics")
 
 
 def _banded_arc(arc, band: int):
@@ -348,14 +352,16 @@ def cmd_asymptotics(args) -> tuple[dict, dict]:
 
 
 def cmd_cumulants(args) -> tuple[dict, dict]:
-    from .dpp import clt_certificate, cumulants_from_gram, gram_annulus, gram_sector
+    from .dpp import (MAX_SECTOR_N, clt_certificate, cumulants_from_gram, gram_annulus,
+                      gram_sector)
     from .radial import Ensemble, count_probabilities
 
     if args.mode == "sector":
+        n = _capped_n(args.n, MAX_SECTOR_N, "sector cumulants")
         arc = _arc_from_args(args)
-        inputs = {"mode": "sector", "n": args.n,
+        inputs = {"mode": "sector", "n": n,
                   "arc": [arc.alpha, arc.beta], "n_max": args.n_max}
-        g = gram_sector(args.n, arc)
+        g = gram_sector(n, arc)
     else:
         a, b = _modulus_window(args.window, "--window")
         inputs = {"mode": args.mode, "n": args.n, "window": [a, b],

@@ -3,9 +3,12 @@
 Restricting the planar kernel to a region A gives a self-adjoint operator
 with spectrum in [0, 1]; the count in A is then a sum of independent
 Bernoulli(p_j) over its eigenvalues p_j (Hough-Krishnapur-Peres-Virag).
-The builders return the operator as a plain array in the monomial basis:
-the annulus one is diagonal, so `gram_annulus` returns its diagonal (the
-p_j themselves), and `gram_sector` returns the Hermitian sector matrix.
+The builders return the operator as a plain array.  The annulus one is
+diagonal in the monomial basis phi_l, so `gram_annulus` returns its diagonal
+(the p_j themselves).  `gram_sector` returns the real symmetric sector
+matrix R in the basis e^{i l c} phi_l rotated to the arc's midpoint c; the
+monomial-basis matrix is D R D* with D = diag(e^{-i l c}), a unitary
+similarity, so the spectrum is the same and one real eigensolve finds it.
 `cumulants_from_gram` reads a 1-d array as the p_j and diagonalizes a 2-d
 one.  Count cumulants are sums of per-eigenvalue Bernoulli cumulants,
 
@@ -40,6 +43,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 12
+# largest sector N: the matrix holds N^2 float64 entries (128 MB at 4096)
+MAX_SECTOR_N = 4096
 
 
 @dataclass(frozen=True)
@@ -72,23 +77,28 @@ def gram_annulus(n: int, a: float, b: float) -> np.ndarray:
 
 
 def gram_sector(n: int, arc: ArcWindow) -> np.ndarray:
-    """Sector alpha <= arg z <= beta: the Hermitian N x N matrix
-    G_{lm} = Gamma((l+m)/2 + 1)/sqrt(l! m!) * what(l - m), its radial factor in
-    log space from two `log_gamma` vectors.  The arc indicator's coefficient
-    what(d) = (1/2pi) int_alpha^beta e^{-i d theta} dtheta is taken from that
-    integral: -e^{-i d alpha} expm1(-i d L)/(2 pi i d), and L/2pi at d = 0.
+    """Sector alpha <= arg z <= beta: the real symmetric N x N matrix
+    R_{lm} = Gamma((l+m)/2 + 1)/sqrt(l! m!) * sin((l - m) L/2)/(pi (l - m)),
+    L/2pi on the diagonal, its radial factor in log space from two `log_gamma`
+    vectors.  It is the operator in the basis e^{i l c} phi_l, c the arc's
+    midpoint: the arc indicator's coefficient (1/2pi) int_alpha^beta
+    e^{-i d theta} dtheta is e^{-i d c} sin(d L/2)/(pi d), so the monomial-basis
+    matrix is D R D* with D = diag(e^{-i l c}).  R depends on the arc only
+    through its length; two arcs' relative position enters Tr(G_A G_B) as
+    cos((l - m)(c_A - c_B)).
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    if not 1 <= n <= MAX_SECTOR_N:
+        raise ValueError(f"N must be in 1..{MAX_SECTOR_N} for a sector matrix, got {n}")
     lgf = log_gamma(np.arange(1.0, n + 1.0))               # ln l!
     lgh = log_gamma(0.5 * np.arange(2.0 * n - 1.0) + 1.0)   # ln Gamma(s/2 + 1)
-    idx = np.arange(n)
-    radial = np.exp(lgh[idx[:, None] + idx[None, :]]
-                    - 0.5 * (lgf[idx][:, None] + lgf[idx][None, :]))
+    # Hankel lgh[l + m] and Toeplitz s(l - m) as windows on their vectors
+    hankel = np.lib.stride_tricks.sliding_window_view(lgh, n)
+    r = np.exp(hankel - 0.5 * (lgf[:, None] + lgf[None, :]))
     d = np.arange(1.0, n)
-    pos = -np.exp(-1j * d * arc.alpha) * np.expm1(-1j * d * arc.length) / (2j * math.pi * d)
-    wvals = np.concatenate((np.conj(pos[::-1]), [arc.length / (2.0 * math.pi)], pos))
-    return radial * wvals[(idx[:, None] - idx[None, :]) + (n - 1)]
+    s = np.sin(d * (0.5 * arc.length)) / (math.pi * d)
+    svals = np.concatenate((s[::-1], [arc.length / (2.0 * math.pi)], s))
+    r *= np.lib.stride_tricks.sliding_window_view(svals, n)[:, ::-1]
+    return r
 
 
 # ---------------------------------------------------------------------------

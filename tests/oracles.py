@@ -337,3 +337,23 @@ def radial_count_cov_mp(w1, w2, shapes, scale: float) -> float:
 
         lo, hi = max(w1[0], w2[0]), min(w1[1], w2[1])
         return float(sum(prob(k, lo, hi) - prob(k, *w1) * prob(k, *w2) for k in shapes))
+
+
+def sector_gram_phased(n: int, alpha: float, beta: float) -> np.ndarray:
+    """Sector Gram matrix in the monomial basis, complex Hermitian:
+    G_{lm} = Gamma((l+m)/2+1)/sqrt(l! m!) * what(l - m), with the arc
+    indicator's coefficient what(d) = -e^{-i d alpha} expm1(-i d L)/(2 pi i d)
+    (L/2pi at d = 0) carrying the arc's phase.  Unlike the oracles above it
+    takes the radial factor from the library's `log_gamma`, so an entrywise
+    comparison with the library's sector matrix sees only the arc's factor."""
+    from ginfluct.specfun import log_gamma
+
+    lgf = log_gamma(np.arange(1.0, n + 1.0))
+    lgh = log_gamma(0.5 * np.arange(2.0 * n - 1.0) + 1.0)
+    idx = np.arange(n)
+    radial = np.exp(lgh[idx[:, None] + idx[None, :]] - 0.5 * (lgf[:, None] + lgf[None, :]))
+    length = beta - alpha
+    d = np.arange(1.0, n)
+    pos = -np.exp(-1j * d * alpha) * np.expm1(-1j * d * length) / (2j * math.pi * d)
+    wvals = np.concatenate((np.conj(pos[::-1]), [length / (2.0 * math.pi)], pos))
+    return radial * wvals[(idx[:, None] - idx[None, :]) + (n - 1)]

@@ -175,6 +175,8 @@ class TestExitCodes:
           "--arc2", "0.5,2"), "--n"),
         (("cov", "angular", "--n", "1000001", "--f", "cos:1", "--g", "cos:1"), "--n"),
         (("count", "var", "--kind", "angular", "--n", "0", "--arc-frac", "0.25"), "--n"),
+        # above the sector matrix's cap of N = 4096
+        (("cumulants", "--mode", "sector", "--n", "4097", "--arc-frac", "0.3"), "--n"),
     ])
     def test_missing_or_malformed_flag_is_named(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

@@ -7,12 +7,14 @@ computed from different primitives.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ginfluct.angular import ArcWindow, angular_count_cov, angular_count_var
 from ginfluct.dpp import (
+    MAX_SECTOR_N,
     CltReport,
     CumulantSet,
     clt_certificate,
@@ -27,6 +29,7 @@ from oracles import (
     bernoulli_count_pmf,
     cumulants_from_pmf,
     cumulants_from_spectrum_mp,
+    sector_gram_phased,
     sector_spectrum_mp,
     stirling_second_kind,
 )
@@ -73,9 +76,38 @@ class TestGramSector:
         assert math.fsum(np.diagonal(g).real) == pytest.approx(
             40.0 * arc.length / (2.0 * math.pi), rel=1e-12, abs=0.0)
 
-    def test_hermitian(self):
-        g = gram_sector(24, ArcWindow(-1.2, 0.3))
-        np.testing.assert_allclose(g, g.conj().T, rtol=0.0, atol=1e-15)
+    def test_real_symmetric(self):
+        r = gram_sector(24, ArcWindow(-1.2, 0.3))
+        assert r.dtype == np.float64
+        assert np.array_equal(r, r.T)
+        # in the basis rotated to the midpoint only the arc's length enters
+        assert np.array_equal(gram_sector(24, ArcWindow(-1.0, 0.5)),
+                              gram_sector(24, ArcWindow(0.5, 2.0)))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("alpha,beta", [(-1.2, 0.3), (0.5, 2.5), (-3.0, 3.1)])
+    def test_rotates_to_phased_monomial_matrix(self, n, alpha, beta):
+        # D R D* with D = diag(e^{-i l c}), c the arc's midpoint, is the complex
+        # Hermitian matrix of the monomial basis, whose angular factor carries
+        # the arc's phase
+        r = gram_sector(n, ArcWindow(alpha, beta))
+        phase = np.exp(-1j * np.arange(n) * (0.5 * (alpha + beta)))
+        ref = sector_gram_phased(n, alpha, beta)
+        np.testing.assert_allclose(phase[:, None] * r * np.conj(phase)[None, :], ref,
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.eigvalsh(r), np.linalg.eigvalsh(ref),
+                                   rtol=0.0, atol=1e-13)
+
+    def test_size_cap_before_allocation(self):
+        # N = 4097 would hold 134 MB of entries: refused before any of them
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(MAX_SECTOR_N)):
+                gram_sector(MAX_SECTOR_N + 1, ArcWindow.symmetric(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_variance_identity_with_angular_module(self):
         n = 128
@@ -113,10 +145,14 @@ class TestGramSector:
     ])
     def test_pair_covariance_matches_angular_module(self, n, arc1, arc2):
         # Cov(#A, #B) = N |A n B|/2pi - Tr(G_A G_B) depends on where the arcs
-        # sit, not only on their spectra, so it sees the arcs' phases
-        ga, gb = gram_sector(n, arc1), gram_sector(n, arc2)
+        # sit, not only on their spectra.  Each R is centered on its arc's
+        # midpoint c, so the trace takes the relative rotation delta = c_A - c_B:
+        # Tr(G_A G_B) = sum R_A o R_B^T o cos((l - m) delta)
+        ra, rb = gram_sector(n, arc1), gram_sector(n, arc2)
+        delta = 0.5 * (arc1.alpha + arc1.beta) - 0.5 * (arc2.alpha + arc2.beta)
+        lag = np.subtract.outer(np.arange(n), np.arange(n))
         overlap = max(0.0, min(arc1.beta, arc2.beta) - max(arc1.alpha, arc2.alpha))
-        cov = n * overlap / (2.0 * math.pi) - float(np.sum(ga * gb.T).real)
+        cov = n * overlap / (2.0 * math.pi) - float(np.sum(ra * rb.T * np.cos(lag * delta)))
         assert cov == pytest.approx(angular_count_cov(n, arc1, arc2), rel=1e-10, abs=0.0)
 
 

@@ -185,12 +185,15 @@ class TestCovExact:
         assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_indicator_pair_routes(self):
-        # indicator x indicator = probability of the intersection window
+        # two plain indicators are a count covariance: at N = 1024 most terms
+        # cancel to far below 1, and the result keeps its relative accuracy
         f = RadialTestFunction.indicator(0.2, 0.7)
         g = RadialTestFunction.indicator(0.5, 0.9)
-        n = 30
-        direct = radial_count_cov(n, (0.2, 0.7), (0.5, 0.9))
-        assert radial_cov_exact(f, g, n) == pytest.approx(direct, rel=1e-12, abs=0.0)
+        n = 1024
+        for ens in Ensemble:
+            ref = radial_count_cov_mp(f.window, g.window,
+                                      [ens.shape(l) for l in range(1, n + 1)], ens.scale(n))
+            assert radial_cov_exact(f, g, n, ens) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("ens", list(Ensemble))
     @pytest.mark.parametrize("n", [30, 1024])
