@@ -53,7 +53,7 @@ def main() -> None:
     print()
     print("# plateaus of the closed forms")
     print(f"# i_arg: {i_arg(1e6)!r} at 1e6, {i_arg(1e12)!r} at 1e12 (limit 1)")
-    print(f"# i_mod: {i_mod(50.0)!r} at 50, {i_mod(1e4)!r} at 1e4 (computed plateau)")
+    print(f"# i_mod: {i_mod(50.0)!r} at 50, {i_mod(1e4)!r} at 1e4 (limit 2)")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .specfun import _half_step_log_ratio, log_gamma
+from .specfun import _half_step_log_ratio
 
 __all__ = [
     "FourierStatistic",
@@ -51,8 +51,6 @@ MAX_N = 10 ** 6
 
 # the diagonal sums C_d stop below this fraction of N (see `_sums_through`)
 STOP_FRACTION = 2.0 ** -60
-
-LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +240,17 @@ class ArcWindow:
 # ---------------------------------------------------------------------------
 
 def kernel_c_eval(ell: int, theta):
-    """C_l(theta) = a(l) cos^{2l} + b(l) cos^{2l+1}, log-space coefficients."""
+    """C_l(theta) = a(l) cos^{2l} + b(l) cos^{2l+1}.
+
+    a(l) = 4^l (l!)^2/(2l)! and b(l) = 2^{2l+1} Gamma(l+3/2)^2/(2l+1)! are, by
+    Legendre's duplication formula, sqrt(pi) Gamma(l+1)/Gamma(l+1/2) and
+    sqrt(pi) Gamma(l+3/2)/Gamma(l+1): one stable half-step ratio each.
+    """
     if ell < 0 or ell > 10 ** 6:
         raise ValueError(f"l out of range: {ell}")
-    la = 2 * ell * LN2 + 2.0 * log_gamma(ell + 1.0) - log_gamma(2.0 * ell + 1.0)
-    lb = (2 * ell + 1) * LN2 + 2.0 * log_gamma(ell + 1.5) - log_gamma(2.0 * ell + 2.0)
+    la, lb = _half_step_log_ratio(np.array([ell + 0.5, ell + 1.0]))
     c = np.cos(np.asarray(theta, dtype=float))
-    val = math.exp(la) * c ** (2 * ell) + math.exp(lb) * c ** (2 * ell + 1)
+    val = math.sqrt(math.pi) * (math.exp(la) * c ** (2 * ell) + math.exp(lb) * c ** (2 * ell + 1))
     return float(val) if np.isscalar(theta) else val
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .angular import ArcWindow, ConvolvedStatistic, FourierStatistic
 from .radial import Ensemble, RadialTestFunction, radial_count_var
-from .specfun import panel_integrate, std_normal_cdf
+from .specfun import panel_integrate, regularized_gamma_lower
 
 __all__ = [
     "RegimeReport",
@@ -94,79 +94,46 @@ def angular_smooth_coeff(f: FourierStatistic, g: FourierStatistic) -> float:
 # scaling functions
 # ---------------------------------------------------------------------------
 
-def _geometric_panels(scale: float, lo: float = 0.0, hi: float = 1.0) -> list[tuple[float, float]]:
-    """Panels of [lo, hi] refined geometrically towards lo on scale `scale`."""
-    cuts = [hi]
-    x = hi
-    floor = max(scale / 8.0, 1e-300)
-    while x > floor and x > lo:
-        x /= 2.0
-        cuts.append(max(x, lo))
-    cuts.append(lo)
-    cuts = sorted(set(cuts))
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def i_arg(beta: float) -> float:
     """Angular critical-regime scaling factor.
 
     I(beta) = int_0^1 (1 - e^{-beta x^2})/(2 sqrt x) dx
-            + beta int_0^1 [tail integral of e^{-t^2} from beta*sqrt(x)] dx,
-    evaluated after the substitutions u = sqrt(x) (first term) and
-    v = sqrt(x) (second, with the tail written via erfc):
+            + beta int_0^1 [tail integral of e^{-t^2} from beta*sqrt(x)] dx
+            = int_0^1 (1 - e^{-beta u^4}) du + beta sqrt(pi) int_0^1 erfc(beta v) v dv
 
-        int_0^1 (1 - e^{-beta u^4}) du
-      + beta sqrt(pi) int_0^1 erfc(beta v) v dv.
+    (u = v = sqrt x), each piece integrated by parts once:
 
-    Absolute error well below 1e-8 for beta in (0, 1e12].
+        1 - e^{-beta} - Gamma(5/4) P(5/4, beta) / beta^{1/4}
+      + (sqrt(pi)/2) beta erfc(beta) + (sqrt(pi)/4) P(3/2, beta^2) / beta.
+
+    Integrated directly, the first piece is 1 - Gamma(1/4) P(1/4, beta) /
+    (4 beta^{1/4}), whose O(1) terms cancel to leave O(beta) at small beta;
+    here nothing cancels.  The value is within 1e-13 relative for beta down
+    to 1e-200, and within 3e-16 absolute of 40-digit quadrature for beta in
+    [1e-4, 1e4].
     """
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-
-    t1 = panel_integrate(
-        lambda u: -np.expm1(-beta * u ** 4),
-        _geometric_panels(min(1.0, beta ** -0.25)), 24)
-
-    erfc = np.vectorize(math.erfc, otypes=[float])
-    t2 = beta * SQRT_PI * panel_integrate(
-        lambda v: erfc(beta * v) * v,
-        _geometric_panels(min(1.0, 1.0 / beta)), 24)
-    return t1 + t2
+    return (-math.expm1(-beta)
+            - math.gamma(1.25) * regularized_gamma_lower(1.25, beta) / beta ** 0.25
+            + 0.5 * SQRT_PI * beta * math.erfc(beta)
+            + 0.25 * SQRT_PI * regularized_gamma_lower(1.5, beta * beta) / beta)
 
 
 def i_mod(c: float) -> float:
     """Radial critical-regime scaling factor.
 
-    sqrt(pi) int (G - G^2) dx with G(x) = Phi(x+2c) - Phi(x); all the mass
-    sits within ~12 of the window edges x = -2c and x = 0, so the quadrature
-    covers [-2c-12, 12] with dense panels at the edges and sparse ones across
-    any long plateau in between.
+    sqrt(pi) int (G - G^2) dx with G(x) = Phi(x+2c) - Phi(x).  G integrates to
+    2c, and F(a) = int (Phi(x+a) - Phi(x))^2 dx has F'(a) = erf(a/2), so
+
+        i_mod(c) = 2 sqrt(pi) c erfc(c) - 2 expm1(-c^2),
+
+    rising from 2 sqrt(pi) c to the plateau 2.  Absolute error against
+    40-digit quadrature is below 2e-16 for c in [1e-3, 10].
     """
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
-    phi = np.vectorize(std_normal_cdf, otypes=[float])
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        g = phi(x + 2.0 * c) - phi(x)
-        return g - g * g
-
-    panels: list[tuple[float, float]] = []
-
-    def add_range(lo: float, hi: float, width: float) -> None:
-        k = max(1, int(math.ceil((hi - lo) / width)))
-        edges = np.linspace(lo, hi, k + 1)
-        panels.extend(zip(edges[:-1], edges[1:]))
-
-    left, right = -2.0 * c - 12.0, 12.0
-    if right - left <= 48.0:
-        add_range(left, right, 1.0)
-    else:
-        # across the plateau G-G^2 is below e^{-72}; keep the panel count bounded
-        mid_width = max(4.0, (right - left - 48.0) / 50.0)
-        add_range(left, left + 24.0, 1.0)
-        add_range(left + 24.0, right - 24.0, mid_width)
-        add_range(right - 24.0, right, 1.0)
-    return SQRT_PI * panel_integrate(integrand, panels, 16)
+    return 2.0 * SQRT_PI * c * math.erfc(c) - 2.0 * math.expm1(-c * c)
 
 
 # ---------------------------------------------------------------------------

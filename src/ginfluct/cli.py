@@ -416,7 +416,8 @@ def _mc_values(args, specs, ens):
 
 
 def _exact_pair_cov(spec_f, spec_g, n: int, ens):
-    """Exact covariance for a statistic pair, or None when out of scope."""
+    """Exact covariance for a statistic pair that `_mc_values` sampled: any
+    radial pair, or a complex-ensemble pair with an angular side."""
     tag_f, f = spec_f
     tag_g, g = spec_g
     if tag_f == "radial" and tag_g == "radial":
@@ -424,9 +425,7 @@ def _exact_pair_cov(spec_f, spec_g, n: int, ens):
 
         return radial_cov_exact(f, g, n, ens)
     if "radial" in (tag_f, tag_g):
-        return None  # no exact joint radial-angular reference
-    if ens.value != "complex":
-        return None
+        return 0.0  # rotation invariance: moduli and angles are uncorrelated
     from .angular import angular_count_cov, angular_cov_exact
 
     if tag_f == "arc" and tag_g == "arc":
@@ -462,8 +461,6 @@ def cmd_mc(args) -> tuple[dict, dict]:
     if args.check_exact:
         spec_g = specs[1] if len(specs) > 1 else specs[0]
         exact = _exact_pair_cov(spec_f, spec_g, args.n, ens)
-        if exact is None:
-            raise UsageError("no exact reference for this statistic pair")
         outputs["exact"] = exact
         outputs["z_score"] = (cov - exact) / cov_se if cov_se > 0 else math.inf
     batch = SampleBatch(n=args.n, ensemble=ens, seed=args.seed, values=vf,

@@ -85,10 +85,14 @@ def gram_sector(n: int, arc: ArcWindow) -> np.ndarray:
     e^{-i d theta} dtheta is e^{-i d c} sin(d L/2)/(pi d), so the monomial-basis
     matrix is D R D* with D = diag(e^{-i l c}).  R depends on the arc only
     through its length; two arcs' relative position enters Tr(G_A G_B) as
-    cos((l - m)(c_A - c_B)).
+    cos((l - m)(c_A - c_B)).  The full circle is the identity, exactly.
     """
     if not 1 <= n <= MAX_SECTOR_N:
         raise ValueError(f"N must be in 1..{MAX_SECTOR_N} for a sector matrix, got {n}")
+    if arc.length >= 2.0 * math.pi:
+        # sin(d pi) rounds to ~1e-16 off the diagonal, which eigvalsh turns
+        # into a C_2 of ~1e-14 for a count that does not fluctuate
+        return np.eye(n)
     lgf = log_gamma(np.arange(1.0, n + 1.0))               # ln l!
     lgh = log_gamma(0.5 * np.arange(2.0 * n - 1.0) + 1.0)   # ln Gamma(s/2 + 1)
     # Hankel lgh[l + m] and Toeplitz s(l - m) as windows on their vectors

@@ -149,6 +149,11 @@ def _gamma_series(k: float, x: float) -> float:
 
 def _gamma_cont_fraction(k: float, x: float) -> float:
     """Upper regularized gamma by modified Lentz continued fraction, x >= k+1."""
+    prefactor = math.exp(_log_prefactor(k, x))
+    if prefactor == 0.0:
+        # Q underflows.  Far out (x = 1e21, say) d * c misses 1 by an ulp on
+        # every step, so the loop below would never meet its test.
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - k
     c = 1.0 / tiny
@@ -168,7 +173,7 @@ def _gamma_cont_fraction(k: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-17:
-            return h * math.exp(_log_prefactor(k, x))
+            return h * prefactor
     raise RuntimeError(f"incomplete gamma continued fraction failed to converge (k={k}, x={x})")
 
 
@@ -280,7 +285,8 @@ def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1].
 
     `leggauss` solves a dense n x n eigenproblem, so each n is built once
-    per process; the package asks for four node counts (16, 24, 96, 320).
+    per process; the package asks for two node counts (320 for the radial
+    factors, 96 for the smooth radial limit).
     It is looked up at call time so that a wrapper patched onto the numpy
     attribute sees every real build.  Its nodes take one more Newton step
     on P_n and the weights are 2/((1 - x^2) P_n'(x)^2) there, P_n' carried

@@ -200,6 +200,19 @@ class TestKernelC:
         integral = np.dot(math.pi * w, kernel_c_eval(ell, theta)) / (2.0 * math.pi)
         assert integral == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("ell", [10**3, 10**5, 10**6])
+    def test_value_at_zero_at_large_l(self, ell):
+        # C_l(0) = a(l) + b(l) in 40 digits; exponentiated log-gamma
+        # differences were off by 3.4e-13 at l = 10^3 and 1.2e-9 at 10^6
+        import mpmath
+
+        with mpmath.workdps(40):
+            a = mpmath.mpf(4) ** ell * mpmath.factorial(ell) ** 2 / mpmath.factorial(2 * ell)
+            b = (mpmath.mpf(2) ** (2 * ell + 1) * mpmath.gamma(ell + mpmath.mpf(3) / 2) ** 2
+                 / mpmath.factorial(2 * ell + 1))
+            target = float(a + b)
+        assert kernel_c_eval(ell, 0.0) == pytest.approx(target, rel=1e-14, abs=0.0)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             kernel_c_eval(-1, 0.0)

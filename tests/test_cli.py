@@ -247,6 +247,12 @@ class TestCount:
         ind = RadialTestFunction.indicator(0.4, math.inf)
         assert doc["outputs"]["cov"] == radial_cov_exact(ind, ind, 16)
 
+    def test_window_edge_far_out(self, capsys):
+        # N b^2 = 1e21: the incomplete gamma fraction used to exit 3 there
+        doc = run_json(capsys, "count", "var", "--kind", "radial", "--n", "10",
+                       "--window", "0.4,1e10")
+        assert doc["outputs"]["var"] == radial_count_var(10, 0.4, math.inf)
+
     def test_radial_cov(self, capsys):
         doc = run_json(capsys, "count", "cov", "--kind", "radial", "--n", "50",
                        "--window", "0.4,0.6", "--window2", "0.6,0.9")
@@ -326,6 +332,18 @@ class TestCumulants:
         assert doc["outputs"]["cumulants"][1] == pytest.approx(
             angular_count_var(48, ArcWindow(-0.7, 0.7)), rel=1e-9, abs=0.0)
 
+    def test_full_circle_sector_is_deterministic(self, capsys):
+        # the count is N with no spread: every cumulant past the mean is 0,
+        # so there is nothing to certify
+        argv = ("cumulants", "--mode", "sector", "--n", "64", "--arc-frac", "1",
+                "--n-max", "4")
+        doc = run_json(capsys, *argv)
+        assert doc["outputs"]["cumulants"] == [64.0, 0.0, 0.0, 0.0]
+        code, out, err = run_cli(capsys, *argv, "--certify")
+        assert code == 2
+        assert out == ""
+        assert "deterministic count" in err
+
     def test_quaternion_annulus(self, capsys):
         from ginfluct.radial import Ensemble
         doc = run_json(capsys, "cumulants", "--mode", "quaternion-annulus",
@@ -380,6 +398,33 @@ class TestMcRun:
         arc = ArcWindow(-0.5, 0.5)
         assert out["exact"] == pytest.approx(angular_count_cov(8, arc, arc))
         assert abs(out["z_score"]) <= 4.0
+
+    @pytest.mark.parametrize("second", ["cos:1", "ind-arg:-0.5,0.5"])
+    def test_radial_angular_pair_is_uncorrelated(self, capsys, second):
+        # rotation invariance: a radial and an angular statistic have
+        # covariance exactly 0
+        doc = run_json(capsys, "mc", "run", "--n", "8", "--samples", "2000",
+                       "--seed", "12", "--statistic", "ind-mod:0.3,0.8",
+                       "--statistic2", second, "--check-exact")
+        out = doc["outputs"]
+        assert doc["inputs"]["sampler"] == "matrix"
+        assert out["exact"] == 0.0
+        assert abs(out["z_score"]) <= 4.0
+
+    @pytest.mark.parametrize("argv", [
+        ("--statistic", "cos:1", "--statistic2", "ind-arg:-0.5,0.5"),
+        ("--statistic", "ind-mod:0.3,0.8", "--statistic2", "cos:1"),
+        ("--statistic", "ind-arg:-0.5,0.5", "--sampler", "matrix"),
+        ("--statistic", "cos:1", "--sampler", "gamma"),
+    ])
+    def test_quaternion_angular_pairs_are_refused_before_sampling(self, capsys, argv):
+        # the exact angular routes are complex-only; every quaternion pair
+        # with an angular side stops at the sampler, before --check-exact
+        code, out, err = run_cli(capsys, "mc", "run", "--n", "8", "--samples", "100",
+                                 "--ensemble", "quaternion", *argv, "--check-exact")
+        assert code == 2
+        assert out == ""
+        assert "sampler" in err and "sampling" not in err
 
     def test_arc_against_fourier_exact_reference(self, capsys):
         # arc x band-limited pair: the arc is truncated to the partner's band

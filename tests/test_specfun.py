@@ -112,6 +112,14 @@ class TestRegularizedGamma:
             q = regularized_gamma_upper(k, x)
             assert p + q == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [0.25, 1.0, 1.5, 10.0])
+    @pytest.mark.parametrize("x", [1e21, 1e26, 1e100, 1e308])
+    def test_far_tail_where_q_underflows(self, k, x):
+        # the continued fraction once ran out of iterations here: d * c
+        # rounded to 1 - eps on every step
+        assert regularized_gamma_upper(k, x) == 0.0
+        assert regularized_gamma_lower(k, x) == 1.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             regularized_gamma_lower(-1.0, 2.0)
