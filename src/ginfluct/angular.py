@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,9 +156,21 @@ class FourierStatistic:
         return FourierStatistic(coeffs=np.conj(self.coeffs[::-1]), real=self.real)
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
+        """sum_k fhat(k) e^{ik theta} = e^{-iK theta} sum_j fhat(j - K) z^j with
+        z = e^{i theta}: Horner in place, so an angle batch costs two complex
+        arrays of its shape at any band."""
         theta = np.asarray(theta, dtype=float)
-        ks = np.arange(-self.band, self.band + 1)
-        out = np.tensordot(self.coeffs, np.exp(1j * np.multiply.outer(ks, theta)), axes=(0, 0))
+        z = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=z.real)
+        np.sin(theta, out=z.imag)
+        out = np.full(theta.shape, self.coeffs[-1])
+        for c in self.coeffs[-2::-1]:
+            out *= z
+            out += c
+        np.multiply(theta, -self.band, out=z.real)  # z becomes e^{-iK theta}
+        np.sin(z.real, out=z.imag)
+        np.cos(z.real, out=z.real)
+        out *= z
         return out.real if self.real else out
 
 
@@ -225,14 +237,6 @@ class ArcWindow:
         q = self.length / (2.0 * math.pi)
         m = 0.5 * (self.alpha + self.beta)
         return q * np.exp(-1j * m * d) * np.sinc(d * q)
-
-    def tent_fourier(self, d):
-        """Coefficients |what(d)|^2 = q^2 sinc(d q)^2 of the indicator's
-        self-correlation (the tent (L - |theta|)/2pi on |theta| <= L), with
-        peak value sum_d tent_fourier(d) = q = L/2pi; d is an integer or an
-        integer array."""
-        q = self.length / (2.0 * math.pi)
-        return q ** 2 * np.sinc(d * q) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +331,6 @@ def _row_sums(n: int) -> np.ndarray:
     return _sums_through(n, n - 1)
 
 
-def _fourier_sum(n: int, phi0, folded: np.ndarray):
-    """N phi(0) - sum_{|d|<N} C_|d| phihat(d), the exact covariance of every
-    angular pair, given folded[0] = phihat(0) and folded[d] = phihat(d) +
-    phihat(-d) for d = 1..len(folded)-1 (at most N-1)."""
-    cd = _diagonal_sums(n, len(folded) - 1)
-    return n * phi0 - cd[0] * folded[0] - cd[1:] @ folded[1:]
-
-
 def _check_n(n: int) -> None:
     # before any allocation: the cost grows as N^1.5 (see MAX_N)
     if not 1 <= n <= MAX_N:
@@ -349,10 +345,14 @@ def _finite_or_raise(x, what: str) -> float:
 
 
 def angular_cov_exact(f: FourierStatistic, g: FourierStatistic, n: int):
-    """Cov(X(f), X(g)); real when both statistics are real-valued."""
+    """Cov(X(f), X(g)) = N phi(0) - sum_{|d|<N} C_|d| phihat(d), summed
+    over the folded phihat(d) + phihat(-d); real when both statistics are
+    real-valued."""
     _check_n(n)
     phi = ConvolvedStatistic.from_pair(f, g)
-    total = _fourier_sum(n, phi.phi0, phi.folded()[:n])
+    folded = phi.folded()[:n]
+    cd = _diagonal_sums(n, len(folded) - 1)
+    total = n * phi.phi0 - cd[0] * folded[0] - cd[1:] @ folded[1:]
     if phi.real_pair:
         return _finite_or_raise(total.real, "angular covariance")
     _finite_or_raise(abs(total), "angular covariance")
@@ -405,28 +405,33 @@ def angular_cov_decomposed(f: FourierStatistic, g: FourierStatistic, n: int) -> 
 # ---------------------------------------------------------------------------
 
 def angular_count_var(n: int, arc: ArcWindow) -> float:
-    """Var #{angles in arc}; depends on the arc only through its length."""
-    _check_n(n)
-    q = arc.length / (2.0 * math.pi)
-    if q >= 1.0:
-        return 0.0  # full circle: the count is deterministically N
-    tent = arc.tent_fourier(np.arange(n))
-    tent[1:] *= 2.0
-    return _finite_or_raise(_fourier_sum(n, q, tent), "angular count variance")
+    """Var #{angles in arc}: the covariance of the arc with itself, which
+    depends on the arc only through its length."""
+    return angular_count_cov(n, arc, arc)
 
 
 def angular_count_cov(n: int, arc1: ArcWindow, arc2: ArcWindow) -> float:
-    """Cov(#arc1, #arc2) via phi = 1_{arc1} * 1~_{arc2}."""
+    """Cov(#arc1, #arc2) via phi = 1_{arc1} * 1~_{arc2}.
+
+    phi(0) is the overlap over 2pi, phihat(0) = q1 q2 (q = L/2pi), and
+    phihat(d) + phihat(-d) = 2 Re(what1(d) conj(what2(d))) = 2 q1 q2 sinc(d q1)
+    sinc(d q2) cos(d D) = 2 sin(d L1/2) sin(d L2/2) cos(d D) / (pi d)^2, with
+    D the difference of the two midpoints: real, and needed only up to the
+    stop of the C_d row.  A full circle counts all N points, so it has no
+    covariance with anything.
+    """
     _check_n(n)
-    if arc1 == arc2:
-        # same expression as the variance, so the two agree bit for bit
-        return angular_count_var(n, arc1)
+    q1, q2 = arc1.length / (2.0 * math.pi), arc2.length / (2.0 * math.pi)
+    if q1 >= 1.0 or q2 >= 1.0:
+        return 0.0
     overlap = max(0.0, min(arc1.beta, arc2.beta) - max(arc1.alpha, arc2.alpha))
-    d = np.arange(n)
-    folded = (arc1.fourier(d) * np.conj(arc2.fourier(d))).real
-    folded[1:] *= 2.0
-    return _finite_or_raise(_fourier_sum(n, overlap / (2.0 * math.pi), folded),
-                            "angular count covariance")
+    cd = _row_sums(n)
+    d = np.arange(1.0, np.count_nonzero(cd))  # C_d is zero past the stop
+    shift = 0.5 * (arc1.alpha + arc1.beta) - 0.5 * (arc2.alpha + arc2.beta)
+    folded = (2.0 * np.sin(d * (0.5 * arc1.length)) * np.sin(d * (0.5 * arc2.length))
+              * np.cos(d * shift) / (math.pi * d) ** 2)
+    total = n * (overlap / (2.0 * math.pi)) - cd[0] * (q1 * q2) - cd[1:len(d) + 1] @ folded
+    return _finite_or_raise(total, "angular count covariance")
 
 
 # ---------------------------------------------------------------------------

@@ -199,18 +199,6 @@ def _arc_from_args(args):
     raise UsageError("angular window required: --arc alpha,beta or --arc-frac q")
 
 
-def _capped_n(n: int, cap: int, what: str) -> int:
-    if not 1 <= n <= cap:
-        raise UsageError(f"--n must be in 1..{cap} for {what}, got {n}")
-    return n
-
-
-def _angular_n(n: int) -> int:
-    from .angular import MAX_N
-
-    return _capped_n(n, MAX_N, "angular statistics")
-
-
 def _banded_arc(arc, band: int):
     """Arc-indicator Fourier coefficients truncated to a band (exact when the
     partner statistic is band-limited)."""
@@ -248,12 +236,11 @@ def cmd_cov(args) -> tuple[dict, dict]:
     tag_g, g = parse_statistic(args.g)
     if tag_f != "angular" or tag_g != "angular":
         raise UsageError("cov angular needs band-limited statistics (cos:/sin:/fourier:)")
-    n = _angular_n(args.n)
-    inputs = {"n": n, "f": args.f, "g": args.g}
-    value = angular_cov_exact(f, g, n)
+    inputs = {"n": args.n, "f": args.f, "g": args.g}
+    value = angular_cov_exact(f, g, args.n)
     outputs = {"cov": value}
     if args.decompose:
-        dec = angular_cov_decomposed(f, g, n)
+        dec = angular_cov_decomposed(f, g, args.n)
         outputs.update({
             "main": dec.main,
             "correction": dec.correction,
@@ -266,15 +253,15 @@ def cmd_cov(args) -> tuple[dict, dict]:
 def cmd_count(args) -> tuple[dict, dict]:
     compare = getattr(args, "compare_asymptotic", False)
     if args.kind == "radial":
-        from .radial import _count_mean_var, radial_count_cov
+        from .radial import count_probabilities, radial_count_cov, radial_count_var
 
         ens = _ensemble(args.ensemble)
         a, b = _modulus_window(args.window, "--window")
         inputs = {"kind": "radial", "n": args.n, "ensemble": ens.value,
                   "window": [a, b]}
         if args.action == "var":
-            mean, var = _count_mean_var(args.n, a, b, ens)
-            outputs = {"var": var, "mean": mean}
+            outputs = {"var": radial_count_var(args.n, a, b, ens),
+                       "mean": float(count_probabilities(args.n, a, b, ens).sum())}
             if compare:
                 if ens.value != "complex":
                     raise UsageError("--compare-asymptotic targets the complex ensemble")
@@ -288,14 +275,13 @@ def cmd_count(args) -> tuple[dict, dict]:
         raise UsageError("angular counts are exact for the complex ensemble only")
     from .angular import angular_count_cov, angular_count_var
 
-    n = _angular_n(args.n)
     arc = _arc_from_args(args)
-    inputs = {"kind": "angular", "n": n, "arc": [arc.alpha, arc.beta]}
+    inputs = {"kind": "angular", "n": args.n, "arc": [arc.alpha, arc.beta]}
     if args.action == "var":
-        var = angular_count_var(n, arc)
-        outputs = {"var": var, "mean": n * arc.length / (2.0 * math.pi)}
+        var = angular_count_var(args.n, arc)
+        outputs = {"var": var, "mean": args.n * arc.length / (2.0 * math.pi)}
         if compare:
-            outputs.update(_prediction_fields(n, arc, "angular"))
+            outputs.update(_prediction_fields(args.n, arc, "angular"))
         return inputs, outputs
     if args.arc2 is None:
         raise UsageError("count cov needs --arc2 alpha,beta")
@@ -304,7 +290,7 @@ def cmd_count(args) -> tuple[dict, dict]:
 
     arc2 = ArcWindow(alpha=a2, beta=b2)
     inputs["arc2"] = [arc2.alpha, arc2.beta]
-    return inputs, {"cov": angular_count_cov(n, arc, arc2)}
+    return inputs, {"cov": angular_count_cov(args.n, arc, arc2)}
 
 
 def _prediction_fields(n: int, window, kind: str) -> dict:
@@ -352,16 +338,14 @@ def cmd_asymptotics(args) -> tuple[dict, dict]:
 
 
 def cmd_cumulants(args) -> tuple[dict, dict]:
-    from .dpp import (MAX_SECTOR_N, clt_certificate, cumulants_from_gram, gram_annulus,
-                      gram_sector)
+    from .dpp import clt_certificate, cumulants_from_gram, gram_annulus, gram_sector
     from .radial import Ensemble, count_probabilities
 
     if args.mode == "sector":
-        n = _capped_n(args.n, MAX_SECTOR_N, "sector cumulants")
         arc = _arc_from_args(args)
-        inputs = {"mode": "sector", "n": n,
+        inputs = {"mode": "sector", "n": args.n,
                   "arc": [arc.alpha, arc.beta], "n_max": args.n_max}
-        g = gram_sector(n, arc)
+        g = gram_sector(args.n, arc)
     else:
         a, b = _modulus_window(args.window, "--window")
         inputs = {"mode": args.mode, "n": args.n, "window": [a, b],
@@ -464,7 +448,7 @@ def cmd_mc(args) -> tuple[dict, dict]:
         outputs["exact"] = exact
         outputs["z_score"] = (cov - exact) / cov_se if cov_se > 0 else math.inf
     batch = SampleBatch(n=args.n, ensemble=ens, seed=args.seed, values=vf,
-                        statistic=args.statistic)
+                        stream=args.stream, statistic=args.statistic)
     if args.save is not None:
         save_batch(batch, args.save)
         print(f"wrote {args.save}", file=sys.stderr)

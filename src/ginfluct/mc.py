@@ -64,6 +64,7 @@ class SampleBatch:
     ensemble: Ensemble
     seed: int
     values: np.ndarray
+    stream: int = 0
     statistic: str = ""
     generator: str = GENERATOR_NAME
     version: str = VERSION
@@ -74,8 +75,8 @@ class SampleBatch:
 
 
 _MAGIC = b"GFSB"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIQBQQ")  # magic, version, N, ensemble tag, seed, S
+_FORMAT_VERSION = 2
+_HEADER = struct.Struct("<4sIQBQQQ")  # magic, version, N, ensemble tag, seed, stream, S
 _ENS_TAG = {Ensemble.COMPLEX: 0, Ensemble.QUATERNION: 1}
 _TAG_ENS = {v: k for k, v in _ENS_TAG.items()}
 
@@ -83,7 +84,7 @@ _TAG_ENS = {v: k for k, v in _ENS_TAG.items()}
 def save_batch(batch: SampleBatch, path) -> None:
     vals = np.ascontiguousarray(batch.values, dtype="<f8")
     header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, batch.n,
-                          _ENS_TAG[batch.ensemble], batch.seed, len(vals))
+                          _ENS_TAG[batch.ensemble], batch.seed, batch.stream, len(vals))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(vals.tobytes())
@@ -94,7 +95,7 @@ def load_batch(path) -> SampleBatch:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise ValueError(f"{path}: truncated header")
-        magic, fmt, n, ens_tag, seed, s = _HEADER.unpack(raw)
+        magic, fmt, n, ens_tag, seed, stream, s = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if fmt != _FORMAT_VERSION:
@@ -103,13 +104,15 @@ def load_batch(path) -> SampleBatch:
     if len(data) != 8 * s:
         raise ValueError(f"{path}: expected {s} values, file is short")
     values = np.frombuffer(data, dtype="<f8").astype(float)
-    return SampleBatch(n=n, ensemble=_TAG_ENS[ens_tag], seed=seed, values=values)
+    return SampleBatch(n=n, ensemble=_TAG_ENS[ens_tag], seed=seed, values=values,
+                       stream=stream)
 
 
 def save_batch_csv(batch: SampleBatch, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# n={batch.n} ensemble={batch.ensemble.value} seed={batch.seed}"
-                 f" s={batch.size} generator={batch.generator} version={batch.version}\n")
+                 f" stream={batch.stream} statistic={batch.statistic} s={batch.size}"
+                 f" generator={batch.generator} version={batch.version}\n")
         fh.write("index,value\n")
         for i, v in enumerate(batch.values):
             fh.write(f"{i},{float(v)!r}\n")
@@ -273,11 +276,12 @@ def normalized_count_samples(n: int, a: float, b: float, ens: Ensemble,
     to the normal limit is meaningful.  Centering and scaling use the exact
     mean/variance, not sample estimates.
     """
-    from .radial import _count_mean_var
+    from .radial import count_probabilities, radial_count_var
 
     if size < 1:
         raise ValueError("size must be >= 1")
-    mean, var = _count_mean_var(n, a, b, ens)
+    mean = float(count_probabilities(n, a, b, ens).sum())
+    var = radial_count_var(n, a, b, ens)
     if var <= 0.0:
         raise ValueError("window has zero variance; nothing to normalize")
     gen = rng.generator()

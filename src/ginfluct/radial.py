@@ -268,17 +268,10 @@ def count_probabilities(n: int, a: float, b: float,
     return _window_moments((1.0,), _check_window((a, b)), n, ens)
 
 
-def _count_mean_var(n: int, a: float, b: float, ens: Ensemble) -> tuple[float, float]:
-    """Mean sum_k p_k and variance sum_k p_k (1 - p_k) of #{moduli in [a, b]},
-    both from one `count_probabilities` call."""
-    p = count_probabilities(n, a, b, ens)
-    return float(p.sum()), math.fsum(p * (1.0 - p))
-
-
 def radial_count_var(n: int, a: float, b: float,
                      ens: Ensemble = Ensemble.COMPLEX) -> float:
-    """Var #{moduli in [a, b]} = sum_k p_k (1 - p_k)."""
-    return _count_mean_var(n, a, b, ens)[1]
+    """Var #{moduli in [a, b]}: the covariance of the window with itself."""
+    return radial_count_cov(n, (a, b), (a, b), ens)
 
 
 def _piece_probabilities(n: int, edges: Sequence[float], ens: Ensemble) -> np.ndarray:
@@ -294,26 +287,25 @@ def radial_count_cov(n: int, w1: ModulusWindow, w2: ModulusWindow,
                      ens: Ensemble = Ensemble.COMPLEX) -> float:
     """Cov(#w1, #w2) = sum_k [ p_k(w1 cap w2) - p_k(w1) p_k(w2) ], of two indicators.
 
-    The sorted window edges cut [0, inf) into five pieces of probabilities
-    s_0..s_4.  When the windows overlap, w1 cap w2 is the middle piece and
-    each term is s_2 (s_0 + s_4) - s_1 s_3 if they cross, s_2 (s_0 + s_4) if
-    one holds the other; disjoint windows are s_1 and s_3, and the term is
-    -s_1 s_3.  Those products keep their relative accuracy where the plain
-    difference cancels: a factor deep inside one window has p_k = 1 to
-    rounding there, and p_k(w1 cap w2) - p_k(w1) p_k(w2) keeps only the
-    absolute accuracy of 1.
+    The distinct edges {0, a1, b1, a2, b2, inf} cut [0, inf) into pieces, each
+    inside or outside each window.  Per factor the four memberships (both,
+    neither, w1 only, w2 only) have probabilities I, O, A, B summing to 1, so
+    the term is I - (I + A)(I + B) = I O - A B.  Each is a sum of pieces, and
+    the products keep their relative accuracy where the plain difference
+    cancels: deep inside a window p_k = 1 to rounding, and 1 - p_k keeps only
+    the absolute accuracy of 1.
     """
+    if n < 1:
+        raise ValueError("N must be >= 1")
     w1, w2 = _check_window(w1), _check_window(w2)
-    if w1 == w2:
-        # same expression as the variance, so the two agree bit for bit
-        return radial_count_var(n, *w1, ens)
-    s = _piece_probabilities(n, [0.0, *sorted(w1 + w2), math.inf], ens)
-    terms = np.zeros(n)
-    if (w1[0] < w2[0]) == (w1[1] < w2[1]):
-        terms -= s[1] * s[3]
-    if max(w1[0], w2[0]) < min(w1[1], w2[1]):
-        terms += s[2] * (s[0] + s[4])
-    return math.fsum(terms)
+    edges = sorted({0.0, *w1, *w2, math.inf})
+    # row 2 x + y sums the pieces with x = (inside w1), y = (inside w2)
+    mass = np.zeros((4, n))
+    for row, lo, hi in zip(_piece_probabilities(n, edges, ens), edges[:-1], edges[1:]):
+        x, y = w1[0] <= lo and hi <= w1[1], w2[0] <= lo and hi <= w2[1]
+        mass[2 * x + y] += row
+    neither, only2, only1, both = mass
+    return math.fsum((both * neither - only1 * only2).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -235,9 +235,9 @@ def gamma_piece_probs(k, edges) -> np.ndarray:
     a = _unit_ladder(k)
     if len(edges) < 2 or not all(0.0 <= lo <= hi for lo, hi in zip(edges[:-1], edges[1:])):
         raise ValueError(f"edges need 0 <= e_0 <= e_1 <= ..., got {list(edges)}")
-    ladders = [_ladder(a, x) for x in edges]
-    return np.array([_piece(a, lo, hi, at_lo, at_hi) for lo, hi, at_lo, at_hi
-                     in zip(edges[:-1], edges[1:], ladders[:-1], ladders[1:])])
+    ladders = np.array([_ladder(a, x) for x in edges])
+    e = np.array(edges, dtype=float)[:, None]
+    return _piece(a, e[:-1], e[1:], ladders[:-1], ladders[1:])
 
 
 def _unit_ladder(k) -> np.ndarray:
@@ -249,7 +249,8 @@ def _unit_ladder(k) -> np.ndarray:
 
 def _piece(a: np.ndarray, lo: float, hi: float, at_lo: np.ndarray,
            at_hi: np.ndarray) -> np.ndarray:
-    """P(lo <= s <= hi) from the ladders at its two edges, clamped to [0, 1]."""
+    """P(lo <= s <= hi) from the ladders at its two edges, clamped to [0, 1];
+    columns of edges and stacked ladders give one row per piece."""
     p = np.where(a > hi, at_hi - at_lo, np.where(a <= lo, at_lo - at_hi, 1.0 - at_lo - at_hi))
     return np.clip(p, 0.0, 1.0)
 

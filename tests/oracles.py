@@ -339,6 +339,27 @@ def radial_count_cov_mp(w1, w2, shapes, scale: float) -> float:
         return float(sum(prob(k, lo, hi) - prob(k, *w1) * prob(k, *w2) for k in shapes))
 
 
+def angular_count_cov_mp(n: int, arc1, arc2, cd) -> float:
+    """N phi(0) - sum_{|d|<N} C_|d| phihat(d) for two arc indicators, in 40
+    digits over the given diagonal sums C_d, with each coefficient from its
+    definition what(d) = (e^{-i d alpha} - e^{-i d beta}) / (2 pi i d) and
+    phihat(d) = what1(d) conj(what2(d)) taken complex."""
+    with mpmath.workdps(40):
+        ends = [mpmath.mpf(x) for x in (arc1.alpha, arc1.beta, arc2.alpha, arc2.beta)]
+
+        def what(d, lo, hi):
+            if d == 0:
+                return (hi - lo) / (2 * mpmath.pi)
+            return (mpmath.expj(-d * lo) - mpmath.expj(-d * hi)) / (2j * mpmath.pi * d)
+
+        overlap = max(mpmath.mpf(0), min(ends[1], ends[3]) - max(ends[0], ends[2]))
+        total = n * overlap / (2 * mpmath.pi)
+        for d in range(-n + 1, n):
+            phat = what(d, *ends[:2]) * mpmath.conj(what(d, *ends[2:]))
+            total -= mpmath.mpf(float(cd[abs(d)])) * phat
+        return float(mpmath.re(total))
+
+
 def sector_gram_phased(n: int, alpha: float, beta: float) -> np.ndarray:
     """Sector Gram matrix in the monomial basis, complex Hermitian:
     G_{lm} = Gamma((l+m)/2+1)/sqrt(l! m!) * what(l - m), with the arc

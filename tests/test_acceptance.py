@@ -314,9 +314,9 @@ def test_criterion_11_kernel_convolution_rates():
     smooth_err, tent_err = [], []
     for ell in ells:
         smooth_err.append(abs(2.0 * kernel_c_fourier(ell, 1) - 2.0))
-        s = kernel_c_fourier(ell, 0) * arc.tent_fourier(0)
+        s = kernel_c_fourier(ell, 0) * abs(arc.fourier(0)) ** 2
         for k in range(1, 2 * ell + 2):
-            s += 2.0 * kernel_c_fourier(ell, k) * arc.tent_fourier(k)
+            s += 2.0 * kernel_c_fourier(ell, k) * abs(arc.fourier(k)) ** 2
         tent_err.append(abs(s - arc.length / (2.0 * math.pi)))
     s_slope = float(np.polyfit(np.log(ells), np.log(smooth_err), 1)[0])
     t_slope = float(np.polyfit(np.log(ells), np.log(tent_err), 1)[0])

@@ -39,7 +39,8 @@ from ginfluct.angular import (
 )
 from ginfluct.dpp import cumulants_from_gram, gram_sector
 
-from oracles import angular_diagonal_sum_mp, kernel_fourier_mp, quad4d_cov
+from oracles import (angular_count_cov_mp, angular_diagonal_sum_mp, kernel_fourier_mp,
+                     quad4d_cov)
 
 COS = FourierStatistic.cosine(1)
 TWO_COS = FourierStatistic.cosine(1, amplitude=2.0)
@@ -83,6 +84,34 @@ class TestFourierStatistic:
             0.7 * np.sin(2 * theta), atol=1e-12)
         np.testing.assert_allclose(
             FourierStatistic.constant(2.5).evaluate(theta), 2.5, atol=1e-12)
+
+    @pytest.mark.parametrize("band", [1, 10, 50, 64])
+    def test_horner_matches_the_outer_product_form(self, band):
+        rng = np.random.default_rng(band)
+        theta = rng.uniform(-math.pi, math.pi, (40, 16))
+        c = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
+        c /= np.abs(c).sum()  # |f| <= 1
+        ks = np.arange(-band, band + 1)
+        for f in (FourierStatistic(coeffs=c, real=False),
+                  FourierStatistic(coeffs=0.5 * (c + np.conj(c[::-1])))):
+            table = np.exp(1j * np.multiply.outer(ks, theta))
+            ref = np.tensordot(f.coeffs, table, axes=(0, 0))
+            got = f.evaluate(theta)
+            assert got.shape == theta.shape
+            np.testing.assert_allclose(got, ref.real if f.real else ref, rtol=0.0, atol=1e-13)
+
+    def test_evaluate_memory_does_not_grow_with_band(self):
+        # z = e^{i theta} and the Horner accumulator are two complex arrays,
+        # 4x the angles; a table of every e^{ik theta} would be 202x at K = 50
+        theta = np.random.default_rng(2).uniform(-math.pi, math.pi, (200, 64))
+        f = FourierStatistic.cosine(50)
+        tracemalloc.start()
+        try:
+            f.evaluate(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * theta.nbytes
 
     def test_conjugate_of_complex_wave(self):
         f = FourierStatistic.from_dict({1: 1.0}, real=False)  # e^{i theta}
@@ -164,19 +193,24 @@ class TestArcWindow:
             arc.fourier(d), [arc.fourier(int(k)) for k in d], rtol=1e-14, atol=0.0)
 
     def test_tent_coefficients(self):
+        # |what(d)|^2 = q^2 sinc(d q)^2, the coefficients of the indicator's
+        # self-correlation (the tent (L - |theta|)/2pi on |theta| <= L)
         arc = ArcWindow.symmetric(1.2)
-        assert arc.tent_fourier(0) == (1.2 / (2 * math.pi)) ** 2
+        q = 1.2 / (2 * math.pi)
+        assert abs(arc.fourier(0)) ** 2 == q ** 2
         for d in (1, 3, 10):
-            assert arc.tent_fourier(d) == pytest.approx(abs(arc.fourier(d)) ** 2, rel=1e-12, abs=0.0)
+            assert abs(arc.fourier(d)) ** 2 == pytest.approx(q ** 2 * np.sinc(d * q) ** 2,
+                                                             rel=1e-12, abs=0.0)
         d = np.arange(0, 11)
-        row = arc.tent_fourier(d)
-        assert row[0] == arc.tent_fourier(0)
-        np.testing.assert_allclose(row, np.abs(arc.fourier(d)) ** 2, rtol=1e-12, atol=0.0)
+        row = np.abs(arc.fourier(d)) ** 2
+        assert row[0] == abs(arc.fourier(0)) ** 2
+        np.testing.assert_allclose(row, q ** 2 * np.sinc(d * q) ** 2, rtol=1e-12, atol=0.0)
 
     def test_tent_peak_sums_to_arc_mass(self):
-        # phi(0) = L/2pi = sum_d |what(d)|^2; tail is O(1/K)
+        # Parseval: phi(0) = L/2pi = sum_d |what(d)|^2; tail is O(1/K)
         arc = ArcWindow.symmetric(0.9)
-        total = arc.tent_fourier(0) + 2.0 * sum(arc.tent_fourier(d) for d in range(1, 200_000))
+        tent = np.abs(arc.fourier(np.arange(200_000))) ** 2
+        total = tent[0] + 2.0 * tent[1:].sum()
         assert total == pytest.approx(0.9 / (2 * math.pi), abs=1e-6)
 
 
@@ -257,9 +291,9 @@ class TestKernelC:
         length = 1.0
         arc = ArcWindow.symmetric(length)
         for ell, rel_tol in ((64, 0.01), (1024, 5e-4), (4096, 2e-4)):
-            s = kernel_c_fourier(ell, 0) * arc.tent_fourier(0)
+            s = kernel_c_fourier(ell, 0) * abs(arc.fourier(0)) ** 2
             for k in range(1, 2 * ell + 2):
-                s += 2.0 * kernel_c_fourier(ell, k) * arc.tent_fourier(k)
+                s += 2.0 * kernel_c_fourier(ell, k) * abs(arc.fourier(k)) ** 2
             diff = s - length / (2.0 * math.pi)
             pred = -(1.0 / math.pi) / (2.0 * math.sqrt(math.pi * ell))
             assert diff == pytest.approx(pred, rel=rel_tol, abs=0.0)
@@ -363,21 +397,23 @@ class TestRowStop:
         f, g = random_real_statistic(rng, 4096), random_real_statistic(rng, 4096)
         calls = [lambda a=a: angular_count_var(n, a) for a in arcs]
         calls += [lambda: angular_count_cov(n, *pair), lambda: angular_cov_exact(f, g, n)]
+        # the scale 2^-60 N sum_d |folded(d)| of each result's dropped tail,
+        # folded(d) = phihat(d) + phihat(-d) for d < N
+        d = np.arange(n)
 
-        # the scale 2^-60 N sum_d |folded(d)| of each result's dropped tail
-        scales = []
-        fourier_sum = angular._fourier_sum
+        def count_folded(a1, a2):
+            folded = (a1.fourier(d) * np.conj(a2.fourier(d))).real
+            folded[1:] *= 2.0
+            return folded
 
-        def recording(n_, phi0, folded):
-            scales.append(STOP * n_ * np.abs(folded).sum())
-            return fourier_sum(n_, phi0, folded)
-
-        monkeypatch.setattr(angular, "_fourier_sum", recording)
+        folds = [count_folded(a, a) for a in arcs] + [count_folded(*pair)]
+        folds.append(ConvolvedStatistic.from_pair(f, g).folded()[:n])
+        scales = [STOP * n * np.abs(folded).sum() for folded in folds]
         got = [call() for call in calls]
-        monkeypatch.setattr(angular, "_fourier_sum", fourier_sum)
         _row_sums.cache_clear()
         assert [call() for call in calls] == got  # bit-identical on a fresh row
         full = row_to_underflow(n)
+        monkeypatch.setattr(angular, "_row_sums", lambda n_: full)
         monkeypatch.setattr(angular, "_diagonal_sums", lambda n_, dmax: full[: dmax + 1])
         ref = [call() for call in calls]
         for new, want, bound in zip(got, ref, scales):
@@ -596,6 +632,21 @@ class TestCountCov:
         arc = ArcWindow(-0.9, 0.2)
         for n in (3, 64, 1024):
             assert angular_count_cov(n, arc, arc) == angular_count_var(n, arc)
+
+    @pytest.mark.parametrize("n", [64, 512, 10240])
+    def test_full_circle_has_no_covariance(self, n):
+        # the full-circle count is N on every sample
+        full, arc = ArcWindow(-math.pi, math.pi), ArcWindow(0.0, 1.0)
+        assert angular_count_cov(n, full, arc) == 0.0
+        assert angular_count_cov(n, arc, full) == 0.0
+
+    def test_against_40_digit_sum(self):
+        # the real coefficients against complex 40-digit ones over the same
+        # C_d; the result is about 1/1000 of the terms that cancel to it
+        n = 1024
+        a1, a2 = ArcWindow.symmetric(1.3), ArcWindow(-0.4, 2.2)
+        ref = angular_count_cov_mp(n, a1, a2, _row_sums(n))
+        assert angular_count_cov(n, a1, a2) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_symmetry(self):
         a1, a2 = ArcWindow(-1.0, 0.1), ArcWindow(-0.2, 2.0)

@@ -135,6 +135,17 @@ class TestIArg:
         slope = 0.2 + 0.5 * math.sqrt(math.pi)
         assert i_arg(beta) == pytest.approx(slope * beta, rel=1e-12, abs=0.0)
 
+    def test_positive_down_to_the_smallest_subnormal(self):
+        # P(5/4, beta) is subnormal below beta ~ 1e-245, where the closed
+        # form's terms no longer cancel to a positive value
+        for beta in np.geomspace(5e-324, 1e-150, 4000):
+            assert i_arg(float(beta)) > 0.0, beta
+
+    def test_slope_for_every_normal_tiny_beta(self):
+        slope = 0.2 + 0.5 * math.sqrt(math.pi)
+        for beta in np.geomspace(2.3e-308, 1e-200, 400):
+            assert i_arg(float(beta)) == pytest.approx(slope * beta, rel=1e-13, abs=0.0)
+
     def test_huge_beta(self):
         # the incomplete gamma terms sit where Q underflows; the plateau is
         # approached like 1 - Gamma(5/4) beta^{-1/4}

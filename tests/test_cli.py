@@ -151,6 +151,8 @@ class TestExitCodes:
         ("cumulants", "--mode", "annulus", "--n", "16", "--window", "0.4,0.8",
          "--certify", "--tolerance", "inf"),
         ("clt", "test", "--n", "8", "--samples", "200", "--statistic", "poly:1"),
+        ("count", "cov", "--kind", "radial", "--n", "0", "--window", "0.4,0.8",
+         "--window2", "0.5,0.9"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -169,20 +171,30 @@ class TestExitCodes:
         (("kernel", "dump", "--ell", "4", "--kmax", "-1"), "--kmax"),
         (("kernel", "dump", "--ell", "4", "--kmax", "-3"), "--kmax"),
         (("kernel", "dump", "--ell", "4", "--theta-count", "-4"), "--theta-count"),
-        # above the angular admission cap of N = 10^6: fails at once
-        (("count", "var", "--kind", "angular", "--n", "1000001", "--arc-frac", "0.25"), "--n"),
-        (("count", "cov", "--kind", "angular", "--n", "1000001", "--arc", "0,1",
-          "--arc2", "0.5,2"), "--n"),
-        (("cov", "angular", "--n", "1000001", "--f", "cos:1", "--g", "cos:1"), "--n"),
-        (("count", "var", "--kind", "angular", "--n", "0", "--arc-frac", "0.25"), "--n"),
-        # above the sector matrix's cap of N = 4096
-        (("cumulants", "--mode", "sector", "--n", "4097", "--arc-frac", "0.3"), "--n"),
     ])
     def test_missing_or_malformed_flag_is_named(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, cap", [
+        # above the angular admission cap of N = 10^6: fails at once
+        (("count", "var", "--kind", "angular", "--n", "1000001", "--arc-frac", "0.25"), 10 ** 6),
+        (("count", "cov", "--kind", "angular", "--n", "1000001", "--arc", "0,1",
+          "--arc2", "0.5,2"), 10 ** 6),
+        (("cov", "angular", "--n", "1000001", "--f", "cos:1", "--g", "cos:1"), 10 ** 6),
+        (("count", "var", "--kind", "angular", "--n", "0", "--arc-frac", "0.25"), 10 ** 6),
+        # above the sector matrix's cap of N = 4096
+        (("cumulants", "--mode", "sector", "--n", "4097", "--arc-frac", "0.3"), 4096),
+    ])
+    def test_n_outside_the_library_cap_is_named(self, capsys, argv, cap):
+        # the library's own check refuses it, before any allocation
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"N must be in 1..{cap}" in err
         assert "Traceback" not in err
 
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
@@ -460,6 +472,16 @@ class TestMcRun:
         lines = csv_path.read_text().splitlines()
         assert lines[1] == "index,value"
         assert len(lines) == 302
+
+    def test_saved_batch_reproduces_from_its_file(self, capsys, tmp_path):
+        argv = ("mc", "run", "--n", "8", "--samples", "50", "--statistic", "poly:0,0,1")
+        first, again = tmp_path / "first.gfsb", tmp_path / "again.gfsb"
+        run_json(capsys, *argv, "--seed", "9", "--stream", "3", "--save", str(first))
+        batch = load_batch(first)
+        assert (batch.seed, batch.stream) == (9, 3)
+        run_json(capsys, *argv, "--seed", str(batch.seed), "--stream", str(batch.stream),
+                 "--save", str(again))
+        assert load_batch(again).values.tobytes() == batch.values.tobytes()
 
 
 class TestCltSubcommand:

@@ -335,6 +335,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="short"):
             load_batch(path)
 
+    def test_round_trip_keeps_stream_and_statistic(self, tmp_path):
+        vals = RngStream(21, 5).generator().standard_normal(64)
+        batch = SampleBatch(n=17, ensemble=Ensemble.COMPLEX, seed=21, values=vals,
+                            stream=5, statistic="ind-mod:0.3,0.8")
+        save_batch(batch, tmp_path / "batch.gfsb")
+        back = load_batch(tmp_path / "batch.gfsb")
+        assert (back.seed, back.stream) == (21, 5)
+        assert back.values.tobytes() == vals.tobytes()
+        save_batch_csv(batch, tmp_path / "batch.csv")
+        header = (tmp_path / "batch.csv").read_text().splitlines()[0].split()
+        assert "stream=5" in header and "statistic=ind-mod:0.3,0.8" in header
+
     def test_csv_header_and_exact_values(self, tmp_path):
         batch = self.make_batch()
         path = tmp_path / "batch.csv"

@@ -370,6 +370,13 @@ class TestCountStatistics:
         exact = radial_count_var(n, 0.5, 0.9)
         assert abs(exact - est) <= 4.0 * se
 
+    @pytest.mark.parametrize("n, b", [(64, 1.5), (256, 1.2)])
+    def test_variance_of_a_window_holding_almost_all_mass(self, n, b):
+        # deep inside [0, b] p_k = 1 to rounding, where 1 - p_k keeps only the
+        # absolute accuracy of 1 (1.3e-3 and 3.7e-7 relative off here)
+        ref = radial_count_cov_mp((0.0, b), (0.0, b), range(1, n + 1), n)
+        assert radial_count_var(n, 0.0, b) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
     def test_cov_equals_var_on_identical_windows(self):
         for n in (3, 64, 1000):
             assert radial_count_cov(n, (0.4, 0.8), (0.4, 0.8)) == radial_count_var(
