@@ -4,9 +4,10 @@ Two finite-size heuristics disagree about this comparison: asymptotic
 equivalence of the two ensembles suggests ratio -> 1, while the halved
 number of modulus degrees of freedom (shapes 2, 4, ..., 2N instead of
 1, 2, ..., N at doubled scale) suggests a 1/sqrt(2) deficit for the
-quaternion ensemble.  The exact p_k(1 - p_k) sums decide; this script
-prints the measured ratio over an N grid for fixed and critically scaled
-windows.
+quaternion ensemble.  The exact variances decide: per factor the
+probability of the window times that of its outside, both sums of the
+pieces the window edges cut.  This script prints the measured ratio over
+an N grid for fixed and critically scaled windows.
 """
 
 import argparse

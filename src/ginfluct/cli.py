@@ -9,7 +9,7 @@ excluded from that guarantee.
 
 Statistic mini-language:
     poly:c0,c1,...      polynomial in the modulus r
-    ind-mod:a,b         indicator of a <= r < b  (counting statistic)
+    ind-mod:a,b         indicator of a <= r <= b  (counting statistic)
     ind-arg:alpha,beta  indicator of an arc, radians in [-pi, pi]
     cos:k[,amp]         amp*cos(k theta)   (amp defaults to 1)
     sin:k[,amp]         amp*sin(k theta)
@@ -448,7 +448,7 @@ def cmd_mc(args) -> tuple[dict, dict]:
         outputs["exact"] = exact
         outputs["z_score"] = (cov - exact) / cov_se if cov_se > 0 else math.inf
     batch = SampleBatch(n=args.n, ensemble=ens, seed=args.seed, values=vf,
-                        stream=args.stream, statistic=args.statistic)
+                        stream=args.stream, statistic=args.statistic, sampler=sampler)
     if args.save is not None:
         save_batch(batch, args.save)
         print(f"wrote {args.save}", file=sys.stderr)

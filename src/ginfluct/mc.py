@@ -66,6 +66,7 @@ class SampleBatch:
     values: np.ndarray
     stream: int = 0
     statistic: str = ""
+    sampler: str = ""       # "gamma" or "matrix"; empty when not recorded
     generator: str = GENERATOR_NAME
     version: str = VERSION
 
@@ -75,43 +76,61 @@ class SampleBatch:
 
 
 _MAGIC = b"GFSB"
-_FORMAT_VERSION = 2
-_HEADER = struct.Struct("<4sIQBQQQ")  # magic, version, N, ensemble tag, seed, stream, S
+_FORMAT_VERSION = 3
+_PREFIX = struct.Struct("<4sI")      # magic, format version
+_HEADER = struct.Struct("<QBBQQQI")  # N, ensemble, sampler, seed, stream, S, statistic length
 _ENS_TAG = {Ensemble.COMPLEX: 0, Ensemble.QUATERNION: 1}
 _TAG_ENS = {v: k for k, v in _ENS_TAG.items()}
+_SAMPLER_TAG = {"": 0, "gamma": 1, "matrix": 2}
+_TAG_SAMPLER = {v: k for k, v in _SAMPLER_TAG.items()}
 
 
 def save_batch(batch: SampleBatch, path) -> None:
+    """Binary batch: header, the statistic spec in ASCII, then S little-endian doubles."""
+    if batch.sampler not in _SAMPLER_TAG:
+        raise ValueError(f"unknown sampler {batch.sampler!r}")
     vals = np.ascontiguousarray(batch.values, dtype="<f8")
-    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, batch.n,
-                          _ENS_TAG[batch.ensemble], batch.seed, batch.stream, len(vals))
+    statistic = batch.statistic.encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_PREFIX.pack(_MAGIC, _FORMAT_VERSION))
+        fh.write(_HEADER.pack(batch.n, _ENS_TAG[batch.ensemble], _SAMPLER_TAG[batch.sampler],
+                              batch.seed, batch.stream, len(vals), len(statistic)))
+        fh.write(statistic)
         fh.write(vals.tobytes())
+
+
+def _read_struct(fh, st: struct.Struct, path) -> tuple:
+    raw = fh.read(st.size)
+    if len(raw) != st.size:
+        raise ValueError(f"{path}: truncated header")
+    return st.unpack(raw)
 
 
 def load_batch(path) -> SampleBatch:
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, fmt, n, ens_tag, seed, stream, s = _HEADER.unpack(raw)
+        magic, fmt = _read_struct(fh, _PREFIX, path)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if fmt != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {fmt}")
+        n, ens_tag, sampler_tag, seed, stream, s, length = _read_struct(fh, _HEADER, path)
+        statistic = fh.read(length)
+        if len(statistic) != length:
+            raise ValueError(f"{path}: truncated header")
         data = fh.read(8 * s)
     if len(data) != 8 * s:
         raise ValueError(f"{path}: expected {s} values, file is short")
     values = np.frombuffer(data, dtype="<f8").astype(float)
     return SampleBatch(n=n, ensemble=_TAG_ENS[ens_tag], seed=seed, values=values,
-                       stream=stream)
+                       stream=stream, statistic=statistic.decode("ascii"),
+                       sampler=_TAG_SAMPLER[sampler_tag])
 
 
 def save_batch_csv(batch: SampleBatch, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# n={batch.n} ensemble={batch.ensemble.value} seed={batch.seed}"
-                 f" stream={batch.stream} statistic={batch.statistic} s={batch.size}"
+                 f" stream={batch.stream} statistic={batch.statistic} sampler={batch.sampler}"
+                 f" s={batch.size}"
                  f" generator={batch.generator} version={batch.version}\n")
         fh.write("index,value\n")
         for i, v in enumerate(batch.values):

@@ -7,10 +7,11 @@ s_l/N by s_{2l}/(2N).  Every mean/covariance/count formula here is a sum of
 one-dimensional gamma expectations.
 
 A `RadialTestFunction` is p(r) 1{a <= r <= b} or a callable; a product of
-two is the convolved polynomial on the intersected window.  One routine
-returns the N per-factor values of E[p(r) 1{a <= r <= b}] from a moment
-recurrence and one incomplete-gamma ladder call per term, with no
-quadrature; count probabilities are its case p = 1.  Callable statistics
+two is the convolved polynomial on the intersected window.  One helper
+maps window edges to the incomplete-gamma ladders of the N factors; the
+per-factor values of E[p(r) 1{a <= r <= b}] (a moment recurrence with one
+ladder call per term), the count probabilities and the count covariances
+all read it, with no quadrature.  Callable statistics
 and log-MGF tilts are Gauss-Legendre integrals in r against the modulus
 density, split at the window edges.
 """
@@ -26,7 +27,6 @@ import numpy as np
 
 from .specfun import (
     _half_step_log_ratio,
-    gamma_interval_prob,
     gamma_piece_probs,
     log_gamma,
     panel_integrate,
@@ -131,21 +131,27 @@ class RadialTestFunction:
 # one-factor expectations
 # ---------------------------------------------------------------------------
 
+def _piece_probabilities(n: int, edges: Sequence[float], ens: Ensemble,
+                         shift: float = 0.0) -> np.ndarray:
+    """P(modulus between consecutive edges) for each of the N factors, one row
+    per piece, with every gamma shape raised by `shift` (j/2 for the j-th
+    moment): one `gamma_piece_probs` call on s = scale r^2 over the unit
+    ladder of shapes, of which the quaternion factors take every other rung."""
+    scale = ens.scale(n)
+    rungs = np.arange(ens.shape(1.0), ens.shape(n) + 1.0) + shift
+    return gamma_piece_probs(rungs, [scale * e * e for e in edges])[:, ::ens.shape(1)]
+
+
 def _window_moments(coeffs: Sequence[float], window: ModulusWindow, n: int,
                     ens: Ensemble) -> np.ndarray:
     """E[p(r) 1{a <= r <= b}] for each of the N factors, p(r) = sum_j c_j r^j.
 
     The moments M_j = E[r^j] follow M_{j+2} = M_j (k + j/2)/scale from M_0 = 1 and
     M_1 = Gamma(k + 1/2)/(Gamma(k) sqrt(scale)) (the stable half-step log ratio).
-    In the window, M_j picks up the Gamma(k + j/2) probability of [scale a^2,
-    scale b^2], one call per j on the unit ladder of shapes k + j/2 (quaternion
-    shapes are every other rung).
+    In the window, M_j picks up the probability of [a, b] under shapes k + j/2.
     """
     scale = ens.scale(n)
-    a, b = window
-    s_lo, s_hi = scale * a * a, scale * b * b
     k = ens.shape(np.arange(1.0, n + 1.0))
-    rungs = np.arange(k[0], k[-1] + 1.0)
     moments = [np.ones(n), None]
     if any(coeffs[1::2]):
         moments[1] = np.exp(_half_step_log_ratio(k)) / math.sqrt(scale)
@@ -154,7 +160,7 @@ def _window_moments(coeffs: Sequence[float], window: ModulusWindow, n: int,
         if j >= 2 and moments[j % 2] is not None:
             moments[j % 2] = moments[j % 2] * (k + 0.5 * j - 1.0) / scale
         if c != 0.0:
-            prob = gamma_interval_prob(rungs + 0.5 * j, s_lo, s_hi)[::ens.shape(1)]
+            prob = _piece_probabilities(n, window, ens, 0.5 * j)[0]
             terms.append(c * (moments[j % 2] * prob))
     if not terms:
         return np.zeros(n)
@@ -256,31 +262,23 @@ def radial_cov_exact(f: RadialTestFunction, g: RadialTestFunction, n: int,
         raise ValueError("N must be >= 1")
     if all(h.fn is None and tuple(h.coeffs) == (1.0,) for h in (f, g)):
         return radial_count_cov(n, f.window, g.window, ens)
-    return math.fsum(_factor_means(f, g, n, ens)
-                     - _factor_means(f, _ONE, n, ens) * _factor_means(g, _ONE, n, ens))
+    mean_f = _factor_means(f, _ONE, n, ens)
+    mean_g = mean_f if g is f else _factor_means(g, _ONE, n, ens)
+    return math.fsum(_factor_means(f, g, n, ens) - mean_f * mean_g)
 
 
 def count_probabilities(n: int, a: float, b: float,
                         ens: Ensemble = Ensemble.COMPLEX) -> np.ndarray:
-    """p_k = P(modulus_k in [a, b]) for k = 1..N: the j = 0 window moment."""
+    """p_k = P(modulus_k in [a, b]) for k = 1..N."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    return _window_moments((1.0,), _check_window((a, b)), n, ens)
+    return _piece_probabilities(n, _check_window((a, b)), ens)[0]
 
 
 def radial_count_var(n: int, a: float, b: float,
                      ens: Ensemble = Ensemble.COMPLEX) -> float:
     """Var #{moduli in [a, b]}: the covariance of the window with itself."""
     return radial_count_cov(n, (a, b), (a, b), ens)
-
-
-def _piece_probabilities(n: int, edges: Sequence[float], ens: Ensemble) -> np.ndarray:
-    """P(modulus_k between consecutive edges) for k = 1..N, one row per piece:
-    `count_probabilities` of each piece, with one ladder per edge."""
-    scale = ens.scale(n)
-    k = ens.shape(np.arange(1.0, n + 1.0))
-    rungs = np.arange(k[0], k[-1] + 1.0)
-    return gamma_piece_probs(rungs, [scale * e * e for e in edges])[:, ::ens.shape(1)]
 
 
 def radial_count_cov(n: int, w1: ModulusWindow, w2: ModulusWindow,

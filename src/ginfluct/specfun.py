@@ -2,10 +2,12 @@
 
 Everything downstream (gamma-sum expectations, Fourier double sums, count
 probabilities, normal tail integrals) reduces to the four workhorses here:
-log-gamma, the regularized incomplete gamma pair (over a unit ladder of shapes
-at once), the standard normal CDF, and Gauss-Legendre panel sums.  Gamma
-ratios elsewhere are exponentiated once from `log_gamma` or its stable
-half-step ratio, or (angular) stepped by exact rationals from the latter.
+log-gamma, the regularized incomplete gamma (one scalar body for P and Q,
+and one array engine, `gamma_piece_probs`, that builds the ladders of all
+edges over a unit ladder of shapes in one pass), the standard normal CDF,
+and Gauss-Legendre panel sums.  Gamma ratios elsewhere are
+exponentiated once from `log_gamma` or its stable half-step ratio, or
+(angular) stepped by exact rationals from the latter.
 """
 
 from __future__ import annotations
@@ -107,26 +109,28 @@ def _half_step_log_ratio(k):
     return np.where(k < 30.0, log_gamma(k + 0.5) - log_gamma(k), collapsed)
 
 
-def _log_prefactor(k, x: float):
-    """k ln x - x - ln Gamma(k) without cancellation for large k (elementwise in k).
+def _log_prefactor(k, x):
+    """k ln x - x - ln Gamma(k) without cancellation for large k (elementwise
+    over shapes k, and over a column of arguments x against them).
 
     The three terms grow like k ln k while their sum stays O(1) when x is
     near k, so the direct form loses ~k*eps absolute accuracy.  Substituting
     the Stirling expansion of ln Gamma(k) collapses the large parts into
     k*(log1p(t) - t) with t = x/k - 1, which is evaluated stably.  The direct
-    form stays below k = 30, where all terms are modest; one shape keeps it
-    for x < k/2 too, where k ln(x/k) dominates and the value is far below the
-    exp underflow threshold (an array takes the equally exact collapsed form).
+    form stays below k = 30, where all terms are modest.  Where t rounds to
+    -1 the value is -inf (exp gives 0).
     """
     t = (x - k) / k
     if isinstance(k, np.ndarray):
-        with np.errstate(divide="ignore"):  # t = -1 once x/k < eps: -inf, exp gives 0
+        with np.errstate(divide="ignore"):
             out = k * (np.log1p(t) - t) + 0.5 * np.log(k) - _HALF_LOG_TWO_PI - _stirling_tail(k)
         small = k < 30.0
-        out[small] = k[small] * np.log(x) - x - log_gamma(k[small])
+        out[..., small] = k[small] * np.log(x) - x - log_gamma(k[small])
         return out
-    if k < 30.0 or x < 0.5 * k:
+    if k < 30.0:
         return k * math.log(x) - x - log_gamma(k)
+    if t == -1.0:
+        return -math.inf
     return k * (math.log1p(t) - t) + 0.5 * math.log(k) - _HALF_LOG_TWO_PI - _stirling_tail(k)
 
 
@@ -182,90 +186,78 @@ def regularized_gamma_lower(k: float, x: float) -> float:
 
     Series for x < k+1, continued fraction beyond; absolute error <= 1e-12.
     """
-    if not k > 0.0:
-        raise ValueError(f"shape must be positive, got {k}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == math.inf:
-        return 1.0
-    if x < k + 1.0:
-        return min(_gamma_series(k, x), 1.0)
-    return min(max(1.0 - _gamma_cont_fraction(k, x), 0.0), 1.0)
+    return _regularized_gamma(k, x, upper=False)
 
 
 def regularized_gamma_upper(k: float, x: float) -> float:
     """Q(k, x) = 1 - P(k, x), computed on whichever branch is well conditioned."""
+    return _regularized_gamma(k, x, upper=True)
+
+
+def _regularized_gamma(k: float, x: float, upper: bool) -> float:
+    # the series gives P and the continued fraction Q; the other one is its
+    # complement, clamped at 0
     if not k > 0.0:
         raise ValueError(f"shape must be positive, got {k}")
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
-    if x < k + 1.0:
-        return min(max(1.0 - _gamma_series(k, x), 0.0), 1.0)
-    return min(_gamma_cont_fraction(k, x), 1.0)
+    series = x < k + 1.0
+    if series:
+        v = _gamma_series(k, x)
+    else:
+        v = 0.0 if x == math.inf else _gamma_cont_fraction(k, x)
+    if series == upper:
+        v = max(1.0 - v, 0.0)
+    return min(v, 1.0)
 
 
 def gamma_interval_prob(k, lo: float, hi: float):
     """P(lo <= s <= hi) for s ~ Gamma(k): one shape, or one probability per
-    shape for an array of shapes k0, k0 + 1, k0 + 2, ...
+    shape for an array of shapes k0, k0 + 1, k0 + 2, ...; the one-piece row
+    of `gamma_piece_probs`.
 
     The shape is an integer in the ensemble laws (Gamma(k) for the complex
     ensemble, Gamma(2k) for the quaternion one) but any real k > 0 is
     accepted; half-integer shapes arise for odd polynomial moments.
     Result is clamped to [0, 1]; hi = inf is allowed.
     """
-    a = _unit_ladder(k)
-    if not 0.0 <= lo <= hi:
-        raise ValueError(f"interval needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    p = _piece(a, lo, hi, _ladder(a, lo), _ladder(a, hi))
+    p = gamma_piece_probs(k, (lo, hi))[0]
     return p if np.ndim(k) else float(p[0])
 
 
 def gamma_piece_probs(k, edges) -> np.ndarray:
     """P(e_i <= s <= e_{i+1}) for s ~ Gamma(k) between consecutive edges
     0 <= e_0 <= e_1 <= ... (inf allowed), one row per piece and one column
-    per shape of the unit ladder k.  Each row is `gamma_interval_prob` of its
-    piece bit for bit; neighbouring pieces share their edge's ladder, so m
-    edges cost m ladders instead of 2(m - 1)."""
-    a = _unit_ladder(k)
-    if len(edges) < 2 or not all(0.0 <= lo <= hi for lo, hi in zip(edges[:-1], edges[1:])):
-        raise ValueError(f"edges need 0 <= e_0 <= e_1 <= ..., got {list(edges)}")
-    ladders = np.array([_ladder(a, x) for x in edges])
-    e = np.array(edges, dtype=float)[:, None]
-    return _piece(a, e[:-1], e[1:], ladders[:-1], ladders[1:])
+    per shape of the unit ladder k (shapes k0, k0 + 1, ...).
 
-
-def _unit_ladder(k) -> np.ndarray:
+    At each edge x the ladder holds Q(k_i, x) for shapes k_i <= x and P(k_i, x)
+    above, built by Q(k+1, x) = Q(k, x) + x^k e^-x/Gamma(k+1) (DLMF 8.8):
+    cumulative sums up from the lowest shape and down from the highest, where
+    each side is small, from one scalar seed each.  Every term has its own
+    `_log_prefactor` (summed log ratios would drift), taken in one pass over
+    all edges; neighbouring pieces share their edge's ladder, and P(k, 0) =
+    Q(k, inf) = 0 need none.  Each piece is clamped to [0, 1].
+    """
     a = np.array(k, dtype=float, ndmin=1)
     if a.ndim != 1 or not a.size or not a[0] > 0.0 or np.any(np.diff(a) != 1.0):
         raise ValueError(f"shapes must be positive and step by 1, got {k}")
-    return a
-
-
-def _piece(a: np.ndarray, lo: float, hi: float, at_lo: np.ndarray,
-           at_hi: np.ndarray) -> np.ndarray:
-    """P(lo <= s <= hi) from the ladders at its two edges, clamped to [0, 1];
-    columns of edges and stacked ladders give one row per piece."""
+    e = np.array(edges, dtype=float)
+    if len(e) < 2 or not (e[0] >= 0.0 and np.all(e[1:] >= e[:-1])):
+        raise ValueError(f"edges need 0 <= e_0 <= e_1 <= ..., got {list(edges)}")
+    ladders = np.zeros((len(e), len(a)))
+    live = (e > 0.0) & (e < math.inf)
+    if live.any():
+        x = e[live, None]
+        terms = np.exp(_log_prefactor(a, x)) / a
+        q_seed = [[regularized_gamma_upper(a[0], v)] for v in e[live]]
+        p_seed = [[regularized_gamma_lower(a[-1], v)] for v in e[live]]
+        q = np.cumsum(np.hstack([q_seed, terms[:, :-1]]), axis=1)
+        p = np.cumsum(np.hstack([p_seed, terms[:, -2::-1]]), axis=1)[:, ::-1]
+        ladders[live] = np.where(a <= x, q, p)
+    lo, hi = e[:-1, None], e[1:, None]
+    at_lo, at_hi = ladders[:-1], ladders[1:]
     p = np.where(a > hi, at_hi - at_lo, np.where(a <= lo, at_lo - at_hi, 1.0 - at_lo - at_hi))
     return np.clip(p, 0.0, 1.0)
-
-
-def _ladder(a: np.ndarray, x: float) -> np.ndarray:
-    """Q(a_i, x) for unit-step shapes a_i <= x and P(a_i, x) above: by
-    Q(a+1, x) = Q(a, x) + x^a e^-x/Gamma(a+1) (DLMF 8.8), cumulative sums up
-    from the lowest and down from the highest shape, where each side is small.
-    Each term has its own `_log_prefactor`; summed log ratios would drift."""
-    if x == 0.0 or x == math.inf:
-        return np.zeros(len(a))  # P(a, 0) = Q(a, inf) = 0
-    terms = np.exp(_log_prefactor(a, x)) / a
-    q = np.cumsum(np.r_[regularized_gamma_upper(a[0], x), terms[:-1]])
-    p = np.cumsum(np.r_[regularized_gamma_lower(a[-1], x), terms[-2::-1]])[::-1]
-    return np.where(a <= x, q, p)
 
 
 def std_normal_cdf(x: float) -> float:

@@ -483,6 +483,14 @@ class TestMcRun:
                  "--save", str(again))
         assert load_batch(again).values.tobytes() == batch.values.tobytes()
 
+    @pytest.mark.parametrize("sampler", ["gamma", "matrix"])
+    def test_saved_batch_records_its_sampler(self, capsys, tmp_path, sampler):
+        path = tmp_path / "batch.gfsb"
+        run_json(capsys, "mc", "run", "--n", "8", "--samples", "50", "--statistic",
+                 "ind-mod:0.3,0.8", "--sampler", sampler, "--save", str(path))
+        batch = load_batch(path)
+        assert (batch.statistic, batch.sampler) == ("ind-mod:0.3,0.8", sampler)
+
 
 class TestCltSubcommand:
     def test_count_statistic_passes(self, capsys):

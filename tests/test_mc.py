@@ -6,6 +6,7 @@ triangle (sampler, estimator, or exact formula), not an unlucky draw.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -338,14 +339,38 @@ class TestPersistence:
     def test_round_trip_keeps_stream_and_statistic(self, tmp_path):
         vals = RngStream(21, 5).generator().standard_normal(64)
         batch = SampleBatch(n=17, ensemble=Ensemble.COMPLEX, seed=21, values=vals,
-                            stream=5, statistic="ind-mod:0.3,0.8")
+                            stream=5, statistic="ind-mod:0.3,0.8", sampler="matrix")
         save_batch(batch, tmp_path / "batch.gfsb")
         back = load_batch(tmp_path / "batch.gfsb")
         assert (back.seed, back.stream) == (21, 5)
+        assert (back.statistic, back.sampler) == ("ind-mod:0.3,0.8", "matrix")
         assert back.values.tobytes() == vals.tobytes()
         save_batch_csv(batch, tmp_path / "batch.csv")
         header = (tmp_path / "batch.csv").read_text().splitlines()[0].split()
         assert "stream=5" in header and "statistic=ind-mod:0.3,0.8" in header
+        assert "sampler=matrix" in header
+
+    def test_unknown_sampler_is_refused(self, tmp_path):
+        batch = SampleBatch(n=4, ensemble=Ensemble.COMPLEX, seed=1, values=np.zeros(3),
+                            sampler="auto")
+        with pytest.raises(ValueError, match="sampler"):
+            save_batch(batch, tmp_path / "batch.gfsb")
+
+    def test_version_2_file_is_refused(self, tmp_path):
+        # the version-2 header: magic, version, N, ensemble, seed, stream, S
+        path = tmp_path / "v2.gfsb"
+        path.write_bytes(struct.pack("<4sIQBQQQ", b"GFSB", 2, 8, 0, 1, 0, 2)
+                         + np.zeros(2).tobytes())
+        with pytest.raises(ValueError, match="unsupported format version 2"):
+            load_batch(path)
+
+    def test_truncated_statistic(self, tmp_path):
+        path = tmp_path / "batch.gfsb"
+        save_batch(self.make_batch(), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) - 8 * 257 - 2])
+        with pytest.raises(ValueError, match="truncated"):
+            load_batch(path)
 
     def test_csv_header_and_exact_values(self, tmp_path):
         batch = self.make_batch()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginfluct import radial as radial_module
 from ginfluct.radial import (
     Ensemble,
     RadialTestFunction,
@@ -331,6 +332,16 @@ class TestCountStatistics:
                     ref = mpmath.gammainc(ens.shape(l), s_lo, s_hi, regularized=True)
                     assert abs(p[l - 1] - float(ref)) <= 1e-13, (edge, z, l)
 
+    @pytest.mark.parametrize("n, a, b", [(1000, 0.4, 0.6), (512, 0.2, 0.5)])
+    def test_top_factors_against_extended_precision(self, n, a, b):
+        # the top shapes sit far above the window, where each ladder is seeded
+        # by P(N, x) with x < N/2
+        p = count_probabilities(n, a, b)
+        with mpmath.workdps(40):
+            for l in range(n - 39, n + 1):
+                ref = mpmath.gammainc(l, n * a * a, n * b * b, regularized=True)
+                assert abs(p[l - 1] - float(ref)) <= 3e-13 * float(ref), l
+
     def test_quaternion_probabilities_use_doubled_shapes(self):
         n, a, b = 25, 0.5, 0.9
         p = count_probabilities(n, a, b, Ensemble.QUATERNION)
@@ -494,6 +505,23 @@ class TestCallableRoutes:
     def test_callable_pair_against_polynomial(self, n, ens):
         got = radial_cov_exact(self.R2_FN, self.R2_FN, n, ens)
         assert got == pytest.approx(radial_cov_exact(R2, R2, n, ens), rel=1e-10, abs=0.0)
+
+    def test_variance_takes_the_means_once(self, monkeypatch):
+        # E[f] per factor is computed once for Var(f): 2N quadratures, not 3N,
+        # with the same bits as a distinct but equal g
+        calls = []
+        real = radial_module._callable_product_mean
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(radial_module, "_callable_product_mean", counting)
+        var = radial_cov_exact(self.R2_FN, self.R2_FN, 12)
+        assert len(calls) == 2 * 12
+        twin = RadialTestFunction.from_callable(self.R2_FN.fn, r_max=8.0)
+        assert radial_cov_exact(self.R2_FN, twin, 12) == var
+        assert len(calls) == 2 * 12 + 3 * 12
 
     @pytest.mark.parametrize("b", [0.8, math.inf])
     @pytest.mark.parametrize("ens", list(Ensemble))

@@ -120,6 +120,25 @@ class TestRegularizedGamma:
         assert regularized_gamma_upper(k, x) == 0.0
         assert regularized_gamma_lower(k, x) == 1.0
 
+    @pytest.mark.parametrize("k", [30, 31, 50, 100, 300, 1000, 2000, 3000, 3600])
+    def test_below_half_the_shape_against_extended_precision(self, k):
+        # the seeds a ladder takes at its top shape; the direct prefactor
+        # k ln x - x - ln Gamma(k) lost k ln k eps here (5.3e-12 at k = 3000)
+        with mpmath.workdps(40):
+            for frac in (0.01, 0.1, 0.3, 0.45, 0.499):
+                x = k * frac
+                for got, ref in ((regularized_gamma_lower(k, x),
+                                  mpmath.gammainc(k, 0, x, regularized=True)),
+                                 (regularized_gamma_upper(k, x),
+                                  mpmath.gammainc(k, x, mpmath.inf, regularized=True))):
+                    if ref >= 1e-300:
+                        assert abs(got - float(ref)) <= 2e-13 * float(ref), (frac, ref)
+
+    def test_argument_lost_against_a_huge_shape(self):
+        # x - k rounds to -k, so t = x/k - 1 is -1 and log1p(t) is -inf
+        assert regularized_gamma_lower(1e5, 1e-13) == 0.0
+        assert regularized_gamma_upper(1e5, 1e-13) == 1.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             regularized_gamma_lower(-1.0, 2.0)
@@ -177,12 +196,15 @@ class TestGammaIntervalProb:
     @pytest.mark.parametrize("edges", [(0.0, 16.0, 30.0, 64.0, math.inf), (0.0, 0.0, 5.0, 5.0),
                                        (2.0, 300.0), (0.0, math.inf)])
     def test_pieces_match_interval_calls_bitwise(self, edges):
-        # one ladder per edge gives each piece exactly as its own interval call
+        # ladders built for all edges in one pass give each piece exactly as
+        # the two-edge call of that piece: batching across edges changes no bit
         shapes = 1.0 + np.arange(300.0)
         got = specfun.gamma_piece_probs(shapes, edges)
         assert got.shape == (len(edges) - 1, len(shapes))
         for row, lo, hi in zip(got, edges[:-1], edges[1:]):
-            assert np.array_equal(row, gamma_interval_prob(shapes, lo, hi))
+            alone = specfun.gamma_piece_probs(shapes, (lo, hi))
+            assert alone.shape == (1, len(shapes))
+            assert np.array_equal(row, alone[0])
 
     @pytest.mark.parametrize("edges", [(1.0,), (2.0, 1.0), (-1.0, 2.0), (0.0, math.nan, 3.0),
                                        (0.0, 3.0, 2.0, 4.0)])
