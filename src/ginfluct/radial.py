@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .specfun import (
+    _fsum,
     _half_step_log_ratio,
     gamma_piece_probs,
     log_gamma,
@@ -248,7 +249,7 @@ def radial_mean_exact(f: RadialTestFunction, n: int, ens: Ensemble = Ensemble.CO
     """E[X(f)] = sum_l E[f(sqrt(s/scale))]."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    return math.fsum(_factor_means(f, _ONE, n, ens))
+    return _fsum(_factor_means(f, _ONE, n, ens))
 
 
 def radial_cov_exact(f: RadialTestFunction, g: RadialTestFunction, n: int,
@@ -264,7 +265,7 @@ def radial_cov_exact(f: RadialTestFunction, g: RadialTestFunction, n: int,
         return radial_count_cov(n, f.window, g.window, ens)
     mean_f = _factor_means(f, _ONE, n, ens)
     mean_g = mean_f if g is f else _factor_means(g, _ONE, n, ens)
-    return math.fsum(_factor_means(f, g, n, ens) - mean_f * mean_g)
+    return _fsum(_factor_means(f, g, n, ens) - mean_f * mean_g)
 
 
 def count_probabilities(n: int, a: float, b: float,
@@ -291,7 +292,9 @@ def radial_count_cov(n: int, w1: ModulusWindow, w2: ModulusWindow,
     the term is I - (I + A)(I + B) = I O - A B.  Each is a sum of pieces, and
     the products keep their relative accuracy where the plain difference
     cancels: deep inside a window p_k = 1 to rounding, and 1 - p_k keeps only
-    the absolute accuracy of 1.
+    the absolute accuracy of 1.  The N terms are summed by `specfun._fsum`,
+    which skips the terms below 2^-60 sum|t| / N (a factor far from every
+    window edge has both products near 0).
     """
     if n < 1:
         raise ValueError("N must be >= 1")
@@ -303,7 +306,7 @@ def radial_count_cov(n: int, w1: ModulusWindow, w2: ModulusWindow,
         x, y = w1[0] <= lo and hi <= w1[1], w2[0] <= lo and hi <= w2[1]
         mass[2 * x + y] += row
     neither, only2, only1, both = mass
-    return math.fsum((both * neither - only1 * only2).tolist())
+    return _fsum(both * neither - only1 * only2)
 
 
 # ---------------------------------------------------------------------------

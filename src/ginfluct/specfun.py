@@ -5,9 +5,11 @@ probabilities, normal tail integrals) reduces to the four workhorses here:
 log-gamma, the regularized incomplete gamma (one scalar body for P and Q,
 and one array engine, `gamma_piece_probs`, that builds the ladders of all
 edges over a unit ladder of shapes in one pass), the standard normal CDF,
-and Gauss-Legendre panel sums.  Gamma ratios elsewhere are
-exponentiated once from `log_gamma` or its stable half-step ratio, or
-(angular) stepped by exact rationals from the latter.
+and Gauss-Legendre panel sums (rules by Newton iteration, no eigensolve).
+Gamma ratios elsewhere are exponentiated once from `log_gamma` or its
+stable half-step ratio, or (angular) stepped by exact rationals from the
+latter.  The exact sums over factors and eigenvalues share `_fsum`, an
+exactly rounded sum that skips terms too small to move it.
 """
 
 from __future__ import annotations
@@ -265,6 +267,29 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+# a term below this share of the mean |term| can never move a sum
+_SUM_CUT = 2.0 ** -60
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """math.fsum of a 1-d float array, without the terms too small to move it.
+
+    Terms with |t| < 2^-60 sum|t| / len are skipped (Higham's running-error
+    argument, as for the angular C_d stop): together they are under
+    2^-60 sum|t|, below 1/128 of the 2^-53 sum|t| that the terms' own
+    roundings already span.  The rest is summed exactly rounded, and fsum
+    keeps far fewer partials than over terms spanning 1e-300 to 1.
+    Non-finite input (or a sum of |t| that overflows) sums everything, so
+    NaN and inf propagate as in fsum.
+    """
+    mag = np.abs(terms)
+    with np.errstate(over="ignore"):
+        total = float(mag.sum())
+    if terms.size and math.isfinite(total):
+        terms = terms[mag >= _SUM_CUT * total / terms.size]
+    return math.fsum(terms.tolist())
+
+
 def _legendre_p(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) for |x| < 1 by the three-term recurrence."""
     p0, p1 = np.ones_like(x), x
@@ -273,25 +298,47 @@ def _legendre_p(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
+# Newton on P_n stops once no node moves by more than this (a few ulps of 1),
+# from where one more step lands at rounding; the cap keeps the loop finite
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+_NEWTON_CAP = 10
+
+
 @lru_cache(maxsize=512)
 def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1].
 
-    `leggauss` solves a dense n x n eigenproblem, so each n is built once
-    per process; the package asks for two node counts (320 for the radial
-    factors, 96 for the smooth radial limit).
-    It is looked up at call time so that a wrapper patched onto the numpy
-    attribute sees every real build.  Its nodes take one more Newton step
-    on P_n and the weights are 2/((1 - x^2) P_n'(x)^2) there, P_n' carried
-    to the new nodes by P_n'' from Legendre's equation: numpy's normalized
-    weights miss the moments by up to 7e-14 at n = 320.
+    Newton iteration on P_n from Tricomi's asymptotic nodes
+    (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k - 1)/(4n + 2)), each step O(n) per
+    node by the three-term recurrence, so the rule costs O(n^2) (Hale and
+    Townsend, SIAM J. Sci. Comput. 35 (2013)); each n is built once per
+    process, and the package asks for two (320 for the radial factors, 96
+    for the smooth radial limit).  Only the nonnegative half is iterated
+    (an odd n's middle node is exactly 0, where P_n vanishes) and mirrored,
+    so x[::-1] == -x and w[::-1] == w hold bitwise.  Once the steps are at
+    rounding level, the last one also carries P_n' to the new nodes by P_n''
+    from Legendre's equation, and the weights are 2/((1 - x^2) P_n'(x)^2)
+    there.
     """
-    x = np.polynomial.legendre.leggauss(n)[0]
+    k = np.arange(1.0, (n + 1) // 2 + 1.0)
+    x = (1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n ** 3)) * np.cos(
+        math.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
+    if n % 2:
+        x[-1] = 0.0
     p, dp = _legendre_p(n, x)
     step = -p / dp
+    for _ in range(_NEWTON_CAP):
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            break
+        x = x + step
+        p, dp = _legendre_p(n, x)
+        step = -p / dp
     ddp = (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
     x, dp = x + step, dp + ddp * step
     w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # the descending half, mirrored into the ascending rule (0 only once)
+    x = np.concatenate([-x[:n // 2], x[::-1]])
+    w = np.concatenate([w[:n // 2], w[::-1]])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -52,6 +52,12 @@ class TestGramAnnulus:
         cs = cumulants_from_gram(gram_annulus(n, a, b), 2)
         assert cs.cumulant(2) == pytest.approx(radial_count_var(n, a, b), abs=1e-10)
 
+    def test_pruned_sums_keep_the_variance(self):
+        # most of the 4096 terms are far below 2^-60 sum|t| / N and skipped
+        cs = cumulants_from_gram(gram_annulus(4096, 0.4, 0.8), 12)
+        assert cs.cumulant(2) == pytest.approx(radial_count_var(4096, 0.4, 0.8),
+                                               rel=1e-12, abs=0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gram_annulus(0, 0.1, 0.2)
