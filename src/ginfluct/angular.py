@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import _half_step_log_ratio
+from .specfun import _half_step_log_ratio, _stirling_tail
 
 __all__ = [
     "FourierStatistic",
@@ -34,19 +34,18 @@ __all__ = [
     "DecomposedCovariance",
     "angular_cov_exact",
     "angular_cov_decomposed",
-    "angular_var_sesquilinear",
     "angular_count_var",
     "angular_count_cov",
     "kernel_c_eval",
     "kernel_c_fourier",
-    "kernel_c_apply_at_zero",
     "read_fourier_file",
     "write_fourier_file",
 ]
 
 MAX_BAND = 4096
 # largest N the exact covariances admit: about 12 sqrt(N) diagonals of length
-# N make the row O(N^1.5), about a second at N = 10^5 and tens near 10^6
+# N, two in-place products per entry, make the row O(N^1.5): 0.7 s at N = 10^5
+# and about 27 s at 10^6
 MAX_N = 10 ** 6
 
 # the diagonal sums C_d stop below this fraction of N (see `_sums_through`)
@@ -60,12 +59,30 @@ STOP_FRACTION = 2.0 ** -60
 # Gamma(j + d/2 + 1)^2 / ((j + d)! j!) <= 1.  Gamma(z + 1) = z Gamma(z) makes
 # t(j, d) / t(j, d - 2) = (j + d/2)^2 / ((j + d - 1)(j + d)) an exact rational,
 # so every t follows from t(j, 0) = 1 and t(j, 1) by rounded products, with no
-# difference of large log-gamma values.
+# difference of large log-gamma values: each step multiplies by the exact
+# square (j + d/2)^2, then by 1/((j + d - 1)(j + d)) from a table of rounded
+# reciprocals, so a diagonal costs two in-place products and no division.
 # ---------------------------------------------------------------------------
 
+# t(j, 1) = pi m binom(2m, m)^2 / 16^m for m = j + 1 < 30, the rational part
+# exactly rounded by integer division
+_T1_HEAD = math.pi * np.array([m * math.comb(2 * m, m) ** 2 / 16 ** m for m in range(1, 30)])
+
+
 def _t1(j):
-    """t(j, 1) = (Gamma(j + 3/2) / Gamma(j + 1))^2 / (j + 1), elementwise."""
-    return np.exp(2.0 * _half_step_log_ratio(j + 1.0)) / (j + 1.0)
+    """t(j, 1) = (Gamma(j + 3/2) / Gamma(j + 1))^2 / (j + 1), elementwise over
+    integers j >= 0.  From m = j + 1 = 30 on, Stirling's series collapses it to
+    exp(2m log1p(1/2m) - 1 + 2 S(m + 1/2) - 2 S(m)): the exponent is O(1/m), so
+    no logarithm of size ln m is exponentiated.  Below, the exact head."""
+    m = j + 1.0
+    out = np.exp(2.0 * (m * np.log1p(0.5 / m) - 0.5)
+                 + 2.0 * (_stirling_tail(m + 0.5) - _stirling_tail(m)))
+    if isinstance(j, np.ndarray):
+        head = j < 29
+        out[head] = _T1_HEAD[j[head].astype(int)]
+    elif j < 29:
+        out = _T1_HEAD[int(j)]
+    return out
 
 
 def _diagonals(n: int):
@@ -79,16 +96,18 @@ def _diagonals(n: int):
     # for d = 2e + 1, one contiguous table per parity
     e = np.arange(n + 1.0)
     squares = (e ** 2, (e + 0.5) ** 2)
-    pairs = (u - 1.0) * u               # (j + d - 1)(j + d) at index j + d
     last = (np.ones(n), _t1(u[:n]))     # the latest even and odd diagonals
-    ratio = np.empty(n)
+    # then u becomes 1/((j + d - 1)(j + d)) at index j + d, in place; entries
+    # 0 and 1 are never read
+    inv_pairs = u
+    inv_pairs *= u - 1.0
+    np.reciprocal(inv_pairs[2:], out=inv_pairs[2:])
     for d in range(2 * n):
-        m = n - d // 2
+        t = last[d % 2][:n - d // 2]
         if d >= 2:
-            step = ratio[:m]
-            np.divide(squares[d % 2][d // 2:n], pairs[d:d + m], out=step)
-            np.multiply(last[d % 2][:m], step, out=last[d % 2][:m])
-        yield last[d % 2][:m]
+            t *= squares[d % 2][d // 2:n]
+            t *= inv_pairs[d:d + len(t)]
+        yield t
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +300,6 @@ def _chat_row(ell: int, kmax: int) -> np.ndarray:
     return out
 
 
-def kernel_c_apply_at_zero(ell: int, phi: ConvolvedStatistic) -> complex:
-    """(C_l * phi)(0) = sum_k Chat_l(k) phihat(k)."""
-    kmax = min(phi.band, 2 * ell + 1)
-    return complex(_chat_row(ell, kmax) @ phi.folded()[:kmax + 1])
-
-
 # ---------------------------------------------------------------------------
 # exact covariance: the Fourier double sum, evaluated per diagonal
 # ---------------------------------------------------------------------------
@@ -309,7 +322,7 @@ def _sums_through(n: int, dmax: int) -> np.ndarray:
     out = np.zeros(dmax + 1)
     stop = STOP_FRACTION * n
     for d, t in zip(range(dmax + 1), _diagonals(n)):
-        out[d] = t[:n - d].sum()
+        out[d] = np.add.reduce(t[:n - d])
         if out[d] < stop:
             break
     return out
@@ -357,12 +370,6 @@ def angular_cov_exact(f: FourierStatistic, g: FourierStatistic, n: int):
         return _finite_or_raise(total.real, "angular covariance")
     _finite_or_raise(abs(total), "angular covariance")
     return complex(total)
-
-
-def angular_var_sesquilinear(f: FourierStatistic, n: int) -> float:
-    """Var X(f) for complex-valued f: the bilinear form against conj(f)."""
-    val = angular_cov_exact(f, f.conjugate(), n)
-    return val if isinstance(val, float) else val.real
 
 
 class DecomposedCovariance(NamedTuple):

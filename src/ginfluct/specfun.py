@@ -7,8 +7,7 @@ and one array engine, `gamma_piece_probs`, that builds the ladders of all
 edges over a unit ladder of shapes in one pass), the standard normal CDF,
 and Gauss-Legendre panel sums (rules by Newton iteration, no eigensolve).
 Gamma ratios elsewhere are exponentiated once from `log_gamma` or its
-stable half-step ratio, or (angular) stepped by exact rationals from the
-latter.  The exact sums over factors and eigenvalues share `_fsum`, an
+stable half-step ratio, or (angular) stepped by exact rationals.  The exact sums over factors and eigenvalues share `_fsum`, an
 exactly rounded sum that skips terms too small to move it.
 """
 
@@ -105,10 +104,16 @@ def _stirling_tail(x: float) -> float:
 
 def _half_step_log_ratio(k):
     """ln Gamma(k + 1/2) - ln Gamma(k), elementwise for k > 0; from k = 30 on in
-    Stirling's collapsed form, as a log-gamma difference loses k ln k eps."""
-    collapsed = (0.5 * np.log(k) + (k * np.log1p(0.5 / k) - 0.5)
-                 + _stirling_tail(k + 0.5) - _stirling_tail(k))
-    return np.where(k < 30.0, log_gamma(k + 0.5) - log_gamma(k), collapsed)
+    Stirling's collapsed form, as a log-gamma difference loses k ln k eps.
+    The direct difference is evaluated only where k < 30."""
+    out = (0.5 * np.log(k) + (k * np.log1p(0.5 / k) - 0.5)
+           + _stirling_tail(k + 0.5) - _stirling_tail(k))
+    if isinstance(k, np.ndarray):
+        small = k < 30.0
+        out[small] = log_gamma(k[small] + 0.5) - log_gamma(k[small])
+    elif k < 30.0:
+        out = log_gamma(k + 0.5) - log_gamma(k)
+    return out
 
 
 def _log_prefactor(k, x):

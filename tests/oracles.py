@@ -195,6 +195,13 @@ def angular_diagonal_sum_mp(n: int, d: int) -> float:
         return float(total)
 
 
+def angular_factor_mp(j: int, d: int):
+    """t(j, d) = Gamma(j+d/2+1)^2 / ((j+d)! j!) in 40 digits, as an mpf."""
+    with mpmath.workdps(40):
+        return mpmath.exp(2 * mpmath.loggamma(j + mpmath.mpf(d) / 2 + 1)
+                          - mpmath.loggamma(j + d + 1) - mpmath.loggamma(j + 1))
+
+
 def kernel_fourier_mp(ell: int, k: int) -> float:
     """Chat_l(k) of C_l = a(l) cos^{2l} + b(l) cos^{2l+1} in 30 digits:
     (l!)^2 / ((l-m)! (l+m)!) for k = 2m, Gamma(l+3/2)^2 / ((l+m)! (l-m+1)!)
@@ -206,6 +213,25 @@ def kernel_fourier_mp(ell: int, k: int) -> float:
                          / (mpmath.factorial(ell - m) * mpmath.factorial(ell + m)))
         return float(mpmath.gamma(ell + mpmath.mpf(3) / 2) ** 2
                      / (mpmath.factorial(ell + m) * mpmath.factorial(ell - m + 1)))
+
+
+def kernel_c_apply_at_zero(ell: int, phi) -> complex:
+    """(C_l * phi)(0) = sum_k Chat_l(k) phihat(k) for a `ConvolvedStatistic`,
+    one kernel row at a time from the library's `_chat_row`: the row-by-row
+    form that `angular_cov_decomposed` regroups along the diagonals."""
+    from ginfluct.angular import _chat_row
+
+    kmax = min(phi.band, 2 * ell + 1)
+    return complex(_chat_row(ell, kmax) @ phi.folded()[:kmax + 1])
+
+
+def angular_var_sesquilinear(f, n: int) -> float:
+    """Var X(f) for a complex-valued `FourierStatistic`: the library's
+    bilinear covariance against conj(f)."""
+    from ginfluct.angular import angular_cov_exact
+
+    val = angular_cov_exact(f, f.conjugate(), n)
+    return val if isinstance(val, float) else val.real
 
 
 # ---------------------------------------------------------------------------

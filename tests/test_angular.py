@@ -30,8 +30,6 @@ from ginfluct.angular import (
     angular_count_var,
     angular_cov_decomposed,
     angular_cov_exact,
-    angular_var_sesquilinear,
-    kernel_c_apply_at_zero,
     kernel_c_eval,
     kernel_c_fourier,
     read_fourier_file,
@@ -39,7 +37,8 @@ from ginfluct.angular import (
 )
 from ginfluct.dpp import cumulants_from_gram, gram_sector
 
-from oracles import (angular_count_cov_mp, angular_diagonal_sum_mp, kernel_fourier_mp,
+from oracles import (angular_count_cov_mp, angular_diagonal_sum_mp, angular_factor_mp,
+                     angular_var_sesquilinear, kernel_c_apply_at_zero, kernel_fourier_mp,
                      quad4d_cov)
 
 COS = FourierStatistic.cosine(1)
@@ -384,6 +383,30 @@ class TestDiagonalSums:
         got = next(itertools.islice(_diagonals(n), d, None))[:n - d].sum()
         assert row[d] == (got if d <= 1208 else 0.0)
         assert got == pytest.approx(angular_diagonal_sum_mp(n, d), rel=1e-14, abs=0.0)
+
+    def test_entries_against_extended_precision(self):
+        # each step rounds a product by (j + d/2)^2 and one by the rounded
+        # 1/((j + d - 1)(j + d)), so t(j, d) may drift by a few eps per step:
+        # sampled up to the row's stop and over all j < n - d (every j < 40
+        # at small d, through t(j, 1)'s switch at j = 29), each normal double
+        # lies within 4 d eps of 40 digits
+        n, stop = 10_240, 1208
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        rng = np.random.default_rng(21)
+        ds = {1, 2, 3, 4, 5, 30, 31, stop - 1, stop} | set(rng.integers(6, stop, 12).tolist())
+        checked = 0
+        for d, t in zip(range(stop + 1), _diagonals(n)):
+            if d not in ds:
+                continue
+            js = np.concatenate([np.arange(40), rng.integers(0, n - d, 20),
+                                 np.geomspace(40, n - d - 1, 12).astype(int)])
+            for j in np.unique(js).tolist():
+                ref = angular_factor_mp(j, d)
+                if ref < tiny:  # subnormal or underflowed: no relative accuracy
+                    continue
+                assert abs(t[j] - ref) <= 4 * d * eps * ref, (j, d)
+                checked += 1
+        assert checked > 1000
 
 
 class TestRowStop:

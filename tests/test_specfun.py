@@ -79,6 +79,23 @@ class TestLogGamma:
             assert round(math.exp(log_gamma(n + 1.0))) == math.factorial(n)
 
 
+class TestHalfStepLogRatio:
+    @staticmethod
+    def where_form(k):
+        # both forms over every k, kept by np.where: the definition that the
+        # library restricts to the k < 30 entries
+        collapsed = (0.5 * np.log(k) + (k * np.log1p(0.5 / k) - 0.5)
+                     + specfun._stirling_tail(k + 0.5) - specfun._stirling_tail(k))
+        return np.where(k < 30.0, log_gamma(k + 0.5) - log_gamma(k), collapsed)
+
+    def test_bit_identical_to_the_where_form(self):
+        k = np.concatenate([0.5 * np.arange(1, 200), [29.5, 30.0, 30.5],
+                            np.geomspace(0.5, 1e6, 3001)])
+        assert np.array_equal(specfun._half_step_log_ratio(k), self.where_form(k))
+        for x in (0.5, 1.0, 7.0, 29.5, 30.0, 30.5, 1234.5, 1e6):
+            assert specfun._half_step_log_ratio(x) == self.where_form(x)
+
+
 class TestRegularizedGamma:
     def test_exponential_median(self):
         assert regularized_gamma_lower(1.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-14)
