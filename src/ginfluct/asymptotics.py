@@ -95,7 +95,8 @@ def angular_smooth_coeff(f: FourierStatistic, g: FourierStatistic) -> float:
 # ---------------------------------------------------------------------------
 
 def i_arg(beta: float) -> float:
-    """Angular critical-regime scaling factor.
+    """Angular critical-regime display, in closed form.  It is not the limit
+    of the exact arc-count variance: that is `_g_arg`, 1.89 times this at 5.
 
     I(beta) = int_0^1 (1 - e^{-beta x^2})/(2 sqrt x) dx
             + beta int_0^1 [tail integral of e^{-t^2} from beta*sqrt(x)] dx
@@ -123,6 +124,18 @@ def i_arg(beta: float) -> float:
             - math.gamma(1.25) * regularized_gamma_lower(1.25, beta) / beta ** 0.25
             + 0.5 * SQRT_PI * beta * math.erfc(beta)
             + 0.25 * SQRT_PI * regularized_gamma_lower(1.5, beta * beta) / beta)
+
+
+def _g_arg(x: float) -> float:
+    """Limit G of the arc-count variance over sqrt(N)/pi^{3/2} at x = sqrt(N) * length:
+
+        G(x) = int_0^1 (1 - e^{-x^2 u})/(2 sqrt u) du + (sqrt(pi)/2) x int_0^1 erfc(x sqrt u) du
+             = 1 - sqrt(pi) erf(x)/(4x) + (sqrt(pi)/2) x erfc(x) - e^{-x^2}/2.
+
+    Its terms cancel to (sqrt(pi)/2) x at small x, so it serves the critical window only.
+    """
+    return (1.0 - SQRT_PI * math.erf(x) / (4.0 * x) + 0.5 * SQRT_PI * x * math.erfc(x)
+            - 0.5 * math.exp(-x * x))
 
 
 def i_mod(c: float) -> float:
@@ -167,12 +180,13 @@ def count_var_prediction(n: int, window, kind: str) -> RegimeReport:
     if kind == "radial":
         a, b = window
         tag, x = _tag(n, b - a)
+        base = math.sqrt(n) * (a + b) / SQRT_PI
         if tag == "subcritical":
             pred = n * (b * b - a * a)
         elif tag == "critical":
-            pred = math.sqrt(n) * a / SQRT_PI * i_mod(x)
+            pred = 0.5 * base * i_mod(x)
         else:
-            pred = math.sqrt(n) * (a + b) / SQRT_PI
+            pred = base
         exact = radial_count_var(n, a, b, Ensemble.COMPLEX)
         return RegimeReport(n=n, kind=kind, window=(a, b), regime=tag, x=x,
                             predicted=pred, exact=exact)
@@ -184,7 +198,7 @@ def count_var_prediction(n: int, window, kind: str) -> RegimeReport:
         if tag == "subcritical":
             pred = n * arc.length / (2.0 * math.pi)
         elif tag == "critical":
-            pred = base * i_arg(x)
+            pred = base * _g_arg(x)
         else:
             pred = base
         exact = angular_count_var(n, arc)

@@ -178,10 +178,22 @@ def test_criterion_06_regime_ratios_and_crossover(tmp_path):
     tables_ok = (code_a == 0 and code_m == 0 and len(arg_rows) == 5
                  and len(mod_rows) == 5 and abs(arg_tail - 1.0) <= 2e-3)
 
-    ok = fixed_ok and sub_ok and tables_ok
+    # critical ratios at N = 16384 over x = sqrt(N) * width in [0.1, 10]:
+    # arcs against G, annuli against i_mod scaled by the window's midpoint
+    n_crit = 2**14
+    widths = np.geomspace(0.1, 10.0, 9) / math.sqrt(n_crit)
+    crit_arc = max(abs(count_var_prediction(n_crit, w, "angular").ratio - 1.0)
+                   for w in widths)
+    crit_rad = max(abs(count_var_prediction(n_crit, (0.4, 0.4 + w), "radial").ratio - 1.0)
+                   for w in widths)
+    crit_ok = crit_arc <= 1e-2 and crit_rad <= 1e-4
+
+    ok = fixed_ok and sub_ok and tables_ok and crit_ok
     _line(6, ok, f"fixed ratios {rep_a.ratio:.4f} (ang, tol 10%) / "
                  f"{rep_r.ratio:.5f} (rad, tol 2%); subcritical var/mean "
                  f"{sub_arc:.4f} (arc, tol 5%), radial reported {sub_rad:.4f}; "
+                 f"critical |ratio - 1| at N=16384, x in [0.1, 10]: arc "
+                 f"{crit_arc:.2e} (tol 1e-2), annulus {crit_rad:.2e} (tol 1e-4); "
                  f"I_arg plateau {arg_tail:.5f} -> 1, I_mod plateau "
                  f"{mod_tail:.5f} (computed)")
 
@@ -209,17 +221,17 @@ def test_criterion_07_endpoint_structure():
     rad_disj = radial_count_cov(200, (0.2, 0.4), (0.7, 0.9))
     rad_nest = radial_count_cov(200, (0.45, 0.55), (0.2, 0.9))
     radial_ok = abs(rad_disj) <= 1e-6 and abs(rad_nest) <= 1e-6
-    # fitted shared-endpoint constant against both candidate normalizations
+    # shared-endpoint constant: one ray's share 1/(2 pi^{3/2}) of an arc's
+    # variance sqrt(N)/pi^{3/2}, within 0.25 ln(N)/sqrt(N)
     n_fit = 2**12
-    c_fit = shared[n_fit] / math.sqrt(n_fit)
-    r1 = c_fit / (0.5 * math.sqrt(1.0 / math.pi**3))
-    r2 = c_fit / (0.5 * math.sqrt(math.pi**3))
-    const_ok = min(abs(r1 - 1.0), abs(r2 - 1.0)) <= 0.15
+    const = (shared[n_fit] / math.sqrt(n_fit)) * 2.0 * math.pi**1.5
+    const_tol = 0.25 * math.log(n_fit) / math.sqrt(n_fit)
+    const_ok = abs(const - 1.0) <= const_tol
     ok = signs_ok and rate_ok and radial_ok and const_ok
     _line(7, ok, f"signs +/- ok={signs_ok}; O(1/sqrt N) normalized decay "
                  f"ok={rate_ok}; radial disjoint {rad_disj:.1e} / nested "
-                 f"{rad_nest:.1e} (tol 1e-6); fit/candidates: "
-                 f"sqrt(N/pi^3)/2 -> {r1:.3f}, sqrt(N pi^3)/2 -> {r2:.4f}")
+                 f"{rad_nest:.1e} (tol 1e-6); shared cov / (sqrt(N)/(2 pi^1.5)) "
+                 f"at N=4096 -> {const:.4f} (tol {const_tol:.4f})")
 
 
 def test_criterion_08_cross_route_triangle():

@@ -1,15 +1,24 @@
-"""Tests for the asymptotic predictors and the two crossover scaling
-functions, regressed against the exact modules and independent oracles
-(closed antiderivatives, scipy quadrature, Monte Carlo integration)."""
+"""Tests for the asymptotic predictors, the crossover scaling functions and
+the large-N limits of exact count variances and covariances.  Each limit is
+asserted with a bound on its gap that shrinks at a stated rate in N; the
+scaling functions are regressed against independent oracles (closed
+antiderivatives, scipy and mpmath quadrature, Monte Carlo integration)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ginfluct.angular import ArcWindow, FourierStatistic, angular_cov_exact
+from ginfluct.angular import (
+    ArcWindow,
+    FourierStatistic,
+    angular_count_cov,
+    angular_count_var,
+    angular_cov_exact,
+)
 from ginfluct.asymptotics import (
     RegimeReport,
+    _g_arg,
     angular_smooth_coeff,
     count_var_prediction,
     edgeworth_density,
@@ -17,7 +26,13 @@ from ginfluct.asymptotics import (
     i_mod,
     radial_smooth_limit,
 )
-from ginfluct.radial import RadialTestFunction, radial_count_var, radial_cov_exact
+from ginfluct.radial import (
+    Ensemble,
+    RadialTestFunction,
+    radial_count_cov,
+    radial_count_var,
+    radial_cov_exact,
+)
 
 from oracles import gamma_std_density, i_arg_closed
 
@@ -176,7 +191,8 @@ class TestIArg:
     def test_monotone_outside_the_dip(self):
         # the defining display rises on (0, 1], dips on [1, ~2.2], then
         # climbs back to the plateau; monotonicity is only asserted where
-        # the formula actually has it
+        # the formula actually has it.  The exact variance's limit G rises
+        # monotonically: the dip belongs to the display
         rising = [i_arg(b) for b in np.arange(0.05, 1.01, 0.05)]
         assert all(a < b for a, b in zip(rising, rising[1:]))
         recovering = [i_arg(b) for b in (2.5, 4.0, 8.0, 30.0, 1e3, 1e6)]
@@ -277,11 +293,26 @@ class TestRegimeDispatch:
 
     def test_radial_critical_prediction(self):
         n, a, c = 10_000, 0.4, 2.0
-        rep = count_var_prediction(n, (a, a + c / math.sqrt(n)), "radial")
+        b = a + c / math.sqrt(n)
+        rep = count_var_prediction(n, (a, b), "radial")
         assert rep.regime == "critical"
         assert rep.predicted == pytest.approx(
-            math.sqrt(n) * a / math.sqrt(math.pi) * i_mod(c), rel=1e-10, abs=0.0)
-        assert abs(rep.ratio - 1.0) <= 0.05
+            math.sqrt(n) * (a + b) / (2.0 * math.sqrt(math.pi)) * i_mod(c), rel=1e-10, abs=0.0)
+        assert abs(rep.ratio - 1.0) <= 1e-4
+
+    def test_radial_critical_window_at_the_origin(self):
+        # the left edge a = 0 once gave a zero prediction and a ZeroDivisionError
+        rep = count_var_prediction(16384, (0.0, 0.02), "radial")
+        assert rep.regime == "critical" and rep.predicted > 0.0
+        assert math.isfinite(rep.ratio)
+
+    def test_angular_critical_prediction(self):
+        n, x = 10_000, 2.0
+        rep = count_var_prediction(n, x / math.sqrt(n), "angular")
+        assert rep.regime == "critical"
+        assert rep.predicted == pytest.approx(
+            math.sqrt(n) / math.pi**1.5 * _g_arg(x), rel=1e-12, abs=0.0)
+        assert abs(rep.ratio - 1.0) <= 0.01
 
     def test_subcritical_windows_are_poisson_like(self):
         rep = count_var_prediction(10_000, (0.4, 0.4 + 5e-4), "radial")
@@ -301,6 +332,129 @@ class TestRegimeDispatch:
         arc = ArcWindow(-0.3, 0.7)
         rep = count_var_prediction(256, arc, "angular")
         assert rep.window == (arc.alpha, arc.beta)
+
+
+def _g_arg_quadrature(x: float) -> float:
+    """int_0^1 (1 - e^{-x^2 u})/(2 sqrt u) du + (sqrt(pi)/2) x int_0^1 erfc(x sqrt u) du,
+    in 40-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        return float(mpmath.quad(
+            lambda u: -mpmath.expm1(-xm * xm * u) / (2 * mpmath.sqrt(u))
+            + mpmath.sqrt(mpmath.pi) / 2 * xm * mpmath.erfc(xm * mpmath.sqrt(u)),
+            [0, min(1, 1 / xm**2), 1]))
+
+
+class TestArcCriticalLimit:
+    """Var(arc count) = sqrt(N)/pi^{3/2} * G(x) * (1 + c(x)/sqrt(N) + ...) at
+    x = sqrt(N) * length.  The row formula Var = sum_d (N - C_d) |w(d)|^2 has
+    C_d/N -> int_0^1 e^{-s^2/(4u)} du at d = s sqrt(N); integrating in s and
+    then in u gives G."""
+
+    @pytest.mark.parametrize("x", [0.1, 0.2, 0.5, 1.0, 2.0, 3.2, 5.0, 7.5, 10.0])
+    def test_closed_form_against_extended_precision(self, x):
+        assert _g_arg(x) == pytest.approx(_g_arg_quadrature(x), abs=1e-15)
+
+    def test_differs_from_the_display(self):
+        assert _g_arg(5.0) / i_arg(5.0) == pytest.approx(1.89, abs=5e-3)
+        grid = np.geomspace(0.1, 10.0, 41)
+        vals = [_g_arg(float(x)) for x in grid]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("x", [0.1, 0.3, 1.0, 2.0, 5.0, 10.0])
+    def test_exact_variance_tends_to_g_at_rate_inverse_sqrt_n(self, x):
+        # c_N(x) = sqrt(N) (Var / (sqrt(N)/pi^{3/2} G(x)) - 1) stays in
+        # (0, 1.05] and settles: each quadrupling of N moves it by at most
+        # 2/sqrt(N), so the ratio is 1 + c(x)/sqrt(N) + O(1/N)
+        cs = []
+        for n in (4**5, 4**6, 4**7, 4**8):
+            var = angular_count_var(n, ArcWindow.symmetric(x / math.sqrt(n)))
+            cs.append(math.sqrt(n) * (var * math.pi**1.5 / (math.sqrt(n) * _g_arg(x)) - 1.0))
+        assert all(0.0 < c <= 1.05 for c in cs), cs
+        for n, prev, cur in zip((4**6, 4**7, 4**8), cs, cs[1:]):
+            assert math.sqrt(n) * abs(cur - prev) <= 2.0, cs
+
+
+class TestAnnulusCriticalLimit:
+    def test_midpoint_scaling_at_rate_inverse_n(self):
+        # Var(annulus count) = sqrt(N) (a+b)/2 / sqrt(pi) * i_mod(x) * (1 + O(1/N))
+        # at x = sqrt(N) (b - a); scaling by the left edge a instead is off by
+        # the factor (a + b)/(2a), which is 1 + O(1/sqrt(N))
+        a = 0.4
+        for n in (1024, 16384, 262144):
+            for x in (0.1, 0.3, 1.0, 2.0, 5.0, 10.0):
+                b = a + x / math.sqrt(n)
+                pred = math.sqrt(n) * 0.5 * (a + b) / math.sqrt(math.pi) * i_mod(x)
+                assert n * abs(radial_count_var(n, a, b) / pred - 1.0) <= 0.5, (n, x)
+
+
+class TestQuaternionComplexRatio:
+    """The quaternion moduli are those of a complex ensemble of size 2N that
+    keeps every other shape, so Var_Q(N) ~ Var_C(2N)/2 on the same window."""
+
+    NS = (256, 1024, 4096, 16384, 65536)
+    CRITICAL = i_mod(2.0 * math.sqrt(2.0)) / (math.sqrt(2.0) * i_mod(2.0))
+
+    @staticmethod
+    def _ratio(n, a, b):
+        return radial_count_var(n, a, b, Ensemble.QUATERNION) / radial_count_var(n, a, b)
+
+    def test_fixed_window_tends_to_inverse_sqrt2_at_rate_inverse_n(self):
+        for n in self.NS:
+            r = self._ratio(n, 0.4, 0.8)
+            assert n * abs(r - 1.0 / math.sqrt(2.0)) <= 0.07, n
+            assert abs(r - 1.0 / math.sqrt(2.0)) < abs(r - self.CRITICAL)
+
+    def test_critical_window_has_its_own_limit(self):
+        # [a, a + 2/sqrt(N)] is x = 2 for the complex ensemble and x = 2 sqrt(2)
+        # for its size-2N twin: i_mod(2 sqrt 2)/(sqrt 2 i_mod(2)), not 1/sqrt(2).
+        # The two limits differ by 1.2e-3; both bounds are under half of it
+        assert self.CRITICAL == pytest.approx(0.7083220, abs=5e-8)
+        for n in self.NS:
+            r = self._ratio(n, 0.4, 0.4 + 2.0 / math.sqrt(n))
+            assert n * abs(r - self.CRITICAL) <= 0.14, n
+            assert abs(r - self.CRITICAL) < abs(r - 1.0 / math.sqrt(2.0))
+
+
+class TestEndpointCovariances:
+    # one ray's share of an arc's variance sqrt(N)/pi^{3/2}
+    RAY = 1.0 / (2.0 * math.pi**1.5)
+
+    def test_shared_endpoint_tends_to_one_ray_at_rate_log_n_over_sqrt_n(self):
+        gaps = []
+        for p in range(6, 15):
+            n = 2**p
+            cov = angular_count_cov(n, ArcWindow(0.0, 0.8), ArcWindow(0.0, 1.6))
+            gap = cov / (math.sqrt(n) * self.RAY) - 1.0
+            assert 0.0 < gap <= 0.25 * math.log(n) / math.sqrt(n), (n, gap)
+            gaps.append(gap)
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+    def test_abutting_arcs_give_minus_one_ray(self):
+        for p in range(6, 15):
+            n = 2**p
+            cov = angular_count_cov(n, ArcWindow(-0.8, 0.0), ArcWindow(0.0, 0.8))
+            assert abs(cov / (math.sqrt(n) * self.RAY) + 1.0) <= 0.25 * math.log(n) / math.sqrt(n)
+
+    def test_separated_annuli_decay_at_the_cramer_rate(self):
+        # cov = -sum_k P_k(w1) P_k(w2).  The Cramer rates of Gamma(kappa N)/N
+        # at b1^2 and a2^2 add to (a2 - b1)^2 at kappa = a2 b1; each tail is
+        # ~ N^{-1/2} e^{-N I} and Laplace's method over the shapes near
+        # kappa N gives sqrt(N), so |cov| ~ C N^{-1/2} e^{-(a2 - b1)^2 N} and
+        # the slope (ln|cov(N)| - ln|cov(2N)|)/N is
+        # (a2 - b1)^2 + ln(2)/(2N) + O(1/N^2)
+        rate = (0.6 - 0.4) ** 2
+        ns = (100, 200, 400, 800, 1600)
+        covs = [radial_count_cov(n, (0.2, 0.4), (0.6, 0.8)) for n in ns]
+        assert all(c < 0.0 for c in covs)
+        gaps = []
+        for n, c, c2 in zip(ns, covs, covs[1:]):
+            gap = (math.log(-c) - math.log(-c2)) / n - rate
+            assert 0.0 < math.log(2.0) / 2.0 - n * gap <= 20.0 / n, (n, gap)
+            gaps.append(gap)
+        assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
 
 
 class TestEdgeworth:
