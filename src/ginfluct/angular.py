@@ -8,12 +8,13 @@ fhat(k) = (1/2pi) int e^{-ik theta} f(theta) dtheta, and for phi = f * g~
 phihat(k).
 
 The exact covariance is  N phi(0) - sum_{0<=k,l<N} Gamma((k+l)/2+1)^2
-phihat(k-l) / (k! l!), summed along each diagonal d = |k-l| with factors
-taken by exact rational steps.  Regrouping the double sum along k+l gives
-the C_l kernel decomposition, read off the same diagonals; counting
-statistics feed arc-indicator coefficients through the same machinery
-(their infinite Fourier tail enters only via phi(0), which is known in
-closed form, so counts are exact).
+phihat(k-l) / (k! l!), summed along each diagonal d = |k-l|: the diagonal
+sums C_d come from a two-term recurrence in d.  Regrouping the double sum
+along k+l gives the C_l kernel decomposition, read off the diagonals
+themselves with factors taken by exact rational steps, so it is a second
+evaluation of the same sum.  Counting statistics feed arc-indicator
+coefficients through the same C_d row (their infinite Fourier tail enters
+only via phi(0), which is known in closed form, so counts are exact).
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ __all__ = [
 ]
 
 MAX_BAND = 4096
-# largest N the exact covariances admit: about 12 sqrt(N) diagonals of length
-# N, two in-place products per entry, make the row O(N^1.5): 0.7 s at N = 10^5
-# and about 27 s at 10^6
+# largest N the exact covariances admit.  The C_d row costs O(sqrt(N)), so
+# the cap is for accuracy: N phi(0) - sum_d C_d phihat(d) cancels, and a
+# count's relative error grows like sqrt(N) eps
 MAX_N = 10 ** 6
 
-# the diagonal sums C_d stop below this fraction of N (see `_sums_through`)
+# the diagonal sums C_d stop below this fraction of N (see `_row_sums`)
 STOP_FRACTION = 2.0 ** -60
 
 
@@ -56,7 +57,8 @@ STOP_FRACTION = 2.0 ** -60
 # Gamma ratios by exact rational steps
 #
 # Every factor of the double sum and of the kernel is t(j, d) =
-# Gamma(j + d/2 + 1)^2 / ((j + d)! j!) <= 1.  Gamma(z + 1) = z Gamma(z) makes
+# Gamma(j + d/2 + 1)^2 / ((j + d)! j!) <= 1; the decomposition reads the
+# diagonals t(., d) themselves.  Gamma(z + 1) = z Gamma(z) makes
 # t(j, d) / t(j, d - 2) = (j + d/2)^2 / ((j + d - 1)(j + d)) an exact rational,
 # so every t follows from t(j, 0) = 1 and t(j, 1) by rounded products, with no
 # difference of large log-gamma values: each step multiplies by the exact
@@ -301,12 +303,31 @@ def _chat_row(ell: int, kmax: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact covariance: the Fourier double sum, evaluated per diagonal
+# exact covariance: the Fourier double sum, evaluated per diagonal sum C_d
 # ---------------------------------------------------------------------------
 
-def _sums_through(n: int, dmax: int) -> np.ndarray:
-    """C_d = sum_{j<n-d} t(j, d) for d = 0..dmax (dmax < n), up to the first
-    C_d below STOP_FRACTION * n; the rest stay zero.
+@lru_cache(maxsize=4)
+def _row_sums(n: int) -> np.ndarray:
+    """C_d = sum_{j<n-d} t(j, d) for d = 0..n-1, zero past the first C_d
+    below STOP_FRACTION * n; cached per n.
+
+    t is hypergeometric in both j and d, so its definite sum obeys a
+    recurrence in d (creative telescoping).  Two exact Gamma steps,
+    (j + 1)(j + d + 1) t(j + 1, d) = (j + d/2 + 1)^2 t(j, d) and
+    (j + d + 2) t(j, d + 2) = (j + 1) t(j + 1, d), summed over j < n - d with
+    sum_j j t(j, d) eliminated, give
+
+        d^2 C_{d+2} = (d + 2)^2 C_d - tau_d (4(d + 1) n - 4d - 3d^2),
+
+    tau_d = t(n - 1 - d, d) the top entry of diagonal d.  Run backward from
+    C_d = 0 at d >= n, it is C_d = d^2 sum_{e >= d, e = d mod 2, e < n} g_e
+    with g_e = tau_e (4(e + 1) n - 4e - 3e^2) / (e (e + 2))^2 > 0, and
+    C_0 = n: a sum of positive terms, taken smallest first, so nothing
+    cancels.  tau_0 = 1, tau_1 = t(n - 2, 1), and tau_{e+2} = tau_e
+    (n - e - 1)(n - e - 2) / (n - e/2 - 1)^2, one rounded exact ratio per
+    step.  That ratio is below exp(-(e + 1)/n), so tau_e < exp(-(e^2 - 1)/4n)
+    is below the smallest double from e = 55 sqrt(n) on: the sums need e only
+    below min(n, 56 sqrt(n)), and the row costs O(sqrt(n)).
 
     C_d strictly decreases in d.  On even steps every t(j, d) falls by the
     rational ratio (j + d/2)^2 / ((j + d - 1)(j + d)) < 1; on odd steps
@@ -319,33 +340,31 @@ def _sums_through(n: int, dmax: int) -> np.ndarray:
     like exp(-d^2 / 4n), and the bound is checked for n <= 400 and at
     n = 10^3 .. 2.5 10^5.
     """
-    out = np.zeros(dmax + 1)
-    stop = STOP_FRACTION * n
-    for d, t in zip(range(dmax + 1), _diagonals(n)):
-        out[d] = np.add.reduce(t[:n - d])
-        if out[d] < stop:
-            break
+    m = min(n, 56 * (math.isqrt(n) + 1))  # past 55 sqrt(n), tau underflows
+    e = np.arange(float(m))
+    tau = np.empty(m)
+    tau[0::2] = 1.0
+    if m > 1:
+        tau[1::2] = _t1(n - 2)
+        f = e[:-2]
+        ratio = (n - 1.0 - f) * (n - 2.0 - f) / (n - 1.0 - 0.5 * f) ** 2
+        for p in (0, 1):
+            tau[p + 2::2] *= np.cumprod(ratio[p::2])
+    e1 = e[1:]
+    g = tau[1:] * (4.0 * (e1 + 1.0) * n - 4.0 * e1 - 3.0 * e1 ** 2) / (e1 * (e1 + 2.0)) ** 2
+    row = np.empty(m)
+    row[0] = n
+    for p in (1, 2):
+        row[p::2] = e[p::2] ** 2 * np.cumsum(g[p - 1::2][::-1])[::-1]
+    out = np.zeros(n)
+    below = np.flatnonzero(row < STOP_FRACTION * n)
+    kept = below[0] + 1 if len(below) else m
+    out[:kept] = row[:kept]
     return out
 
 
-def _diagonal_sums(n: int, dmax: int) -> np.ndarray:
-    """C_0..C_dmax.  Both paths sum the same diagonals to the same stop, so a
-    prefix of the cached row equals `_sums_through(n, dmax)` bit for bit; the
-    row is read once dmax reaches n/2, or 13 sqrt(n), which is past the stop."""
-    if dmax >= min(n // 2, 13 * math.isqrt(n)):
-        return _row_sums(n)[: dmax + 1]
-    return _sums_through(n, dmax)
-
-
-@lru_cache(maxsize=4)
-def _row_sums(n: int) -> np.ndarray:
-    """All diagonal sums C_0..C_{n-1}, zero past the stop of `_sums_through`:
-    about 12 sqrt(n) diagonals of length <= n, once, cached per n."""
-    return _sums_through(n, n - 1)
-
-
 def _check_n(n: int) -> None:
-    # before any allocation: the cost grows as N^1.5 (see MAX_N)
+    # before any allocation; the cap is for accuracy (see MAX_N)
     if not 1 <= n <= MAX_N:
         raise ValueError(f"N must be in 1..{MAX_N}, got {n}")
 
@@ -364,7 +383,7 @@ def angular_cov_exact(f: FourierStatistic, g: FourierStatistic, n: int):
     _check_n(n)
     phi = ConvolvedStatistic.from_pair(f, g)
     folded = phi.folded()[:n]
-    cd = _diagonal_sums(n, len(folded) - 1)
+    cd = _row_sums(n)[:len(folded)]
     total = n * phi.phi0 - cd[0] * folded[0] - cd[1:] @ folded[1:]
     if phi.real_pair:
         return _finite_or_raise(total.real, "angular covariance")

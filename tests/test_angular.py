@@ -23,7 +23,6 @@ from ginfluct.angular import (
     ConvolvedStatistic,
     FourierStatistic,
     _chat_row,
-    _diagonal_sums,
     _diagonals,
     _row_sums,
     angular_count_cov,
@@ -342,13 +341,13 @@ def lgamma_diagonal_sum(n: int, d: int) -> float:
                      for l in range(n - d))
 
 
-def row_to_underflow(n: int) -> np.ndarray:
-    """C_d over the library's diagonals until C_d < 1e-300: the full row that
-    the stop truncates."""
+def stepped_row(n: int) -> np.ndarray:
+    """C_d summed along the library's stepped diagonals t(., d), through the
+    first C_d below STOP * N: the route the recurrence replaced."""
     out = np.zeros(n)
     for d, t in zip(range(n), _diagonals(n)):
         out[d] = t[:n - d].sum()
-        if out[d] < 1e-300:
+        if out[d] < STOP * n:
             break
     return out
 
@@ -368,21 +367,41 @@ class TestDiagonalSums:
         if stop + 1 < n:
             assert row[stop] < STOP * n <= row[stop - 1]
             assert lgamma_diagonal_sum(n, stop + 1) < STOP * n
-        # every partial row is a bitwise prefix of the cached row
-        for dmax in range(n):
-            assert np.array_equal(_diagonal_sums(n, dmax), row[: dmax + 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 300, 1024, 10_240, 40_960])
+    def test_row_against_stepped_diagonals(self, n):
+        # the recurrence in d against the diagonals summed along j: the same
+        # stop, every kept C_d to 1e-14, strictly decreasing through the stop
+        row, ref = _row_sums(n), stepped_row(n)
+        stop = int(np.flatnonzero(ref)[-1])
+        assert int(np.flatnonzero(row)[-1]) == stop
+        np.testing.assert_allclose(row[: stop + 1], ref[: stop + 1], rtol=1e-14, atol=0.0)
+        assert np.all(np.diff(row[: stop + 1]) < 0.0)
 
     @pytest.mark.parametrize("d", [1, 7, 1001, 1208, 3000])
     def test_large_n_against_extended_precision(self, d):
-        # the library steps along d, the oracle along j, in 30 digits.  The
-        # row's last nonzero sum is d = 1208; d = 3000 lies past the stop, so
-        # every d is summed from the library's diagonals directly
+        # the row comes from the recurrence in d, the stepped sum along the
+        # diagonal t(., d), the oracle along j in 30 digits.  The row's last
+        # nonzero sum is d = 1208; d = 3000 lies past the stop, so only the
+        # stepped sum reaches it
         n = 10_240
         row = _row_sums(n)
         assert np.flatnonzero(row)[-1] == 1208
+        want = angular_diagonal_sum_mp(n, d)
         got = next(itertools.islice(_diagonals(n), d, None))[:n - d].sum()
-        assert row[d] == (got if d <= 1208 else 0.0)
-        assert got == pytest.approx(angular_diagonal_sum_mp(n, d), rel=1e-14, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        if d <= 1208:
+            assert row[d] == pytest.approx(want, rel=1e-14, abs=0.0)
+        else:
+            assert row[d] == 0.0
+
+    def test_row_at_n_1e5_against_extended_precision(self):
+        # the tau product runs some 1900 steps per parity to the stop here
+        n = 100_000
+        row = _row_sums(n)
+        stop = int(np.flatnonzero(row)[-1])
+        for d in (1, 2, 1000, stop):
+            assert row[d] == pytest.approx(angular_diagonal_sum_mp(n, d), rel=1e-14, abs=0.0), d
 
     def test_entries_against_extended_precision(self):
         # each step rounds a product by (j + d/2)^2 and one by the rounded
@@ -410,7 +429,7 @@ class TestDiagonalSums:
 
 
 class TestRowStop:
-    """The stop at C_d < 2^-60 N against the row summed to underflow."""
+    """The stop at C_d < 2^-60 N against the same recurrence without it."""
 
     @pytest.mark.parametrize("n", [1024, 10_240, 40_960])
     def test_results_within_bound_of_full_row(self, n, monkeypatch):
@@ -435,17 +454,22 @@ class TestRowStop:
         got = [call() for call in calls]
         _row_sums.cache_clear()
         assert [call() for call in calls] == got  # bit-identical on a fresh row
-        full = row_to_underflow(n)
+        # with no stop the row runs until tau underflows or d = N - 1
+        with monkeypatch.context() as patch:
+            patch.setattr(angular, "STOP_FRACTION", 0.0)
+            _row_sums.cache_clear()
+            full = _row_sums(n)
+        _row_sums.cache_clear()
+        assert full[np.count_nonzero(_row_sums(n))] > 0.0
         monkeypatch.setattr(angular, "_row_sums", lambda n_: full)
-        monkeypatch.setattr(angular, "_diagonal_sums", lambda n_, dmax: full[: dmax + 1])
         ref = [call() for call in calls]
         for new, want, bound in zip(got, ref, scales):
             assert abs(new - want) <= bound
 
     @pytest.mark.parametrize("n", [1024, 10_240, 40_960])
     def test_row_stops_near_12_sqrt_n(self, n):
-        # timing-free guard against summing the row to underflow (about
-        # 46-49 sqrt(N) diagonals at these N)
+        # the row ends at the stop, not where C_d underflows (about 46-49
+        # sqrt(N) at these N)
         assert np.flatnonzero(_row_sums(n))[-1] <= 13 * math.sqrt(n)
 
 
@@ -574,6 +598,20 @@ class TestDecomposed:
             out = angular_cov_decomposed(f, g, n)
             scale = max(1e-30, abs(exact))
             assert abs(out.total - exact) / scale <= 1e-9
+
+    @pytest.mark.parametrize("n", [1024, 10_240])
+    def test_stepped_diagonals_against_recurrence_row(self, n):
+        # two evaluations of one covariance: the decomposition sums the
+        # stepped diagonals t(., d), angular_cov_exact reads the C_d row of
+        # the recurrence in d
+        rng = np.random.default_rng(3000 + n)
+        for _ in range(5):
+            band = int(rng.integers(1, 65))
+            f = random_real_statistic(rng, band)
+            g = random_real_statistic(rng, band)
+            exact = angular_cov_exact(f, g, n)
+            total = angular_cov_decomposed(f, g, n).total
+            assert abs(total - exact) / max(1e-30, abs(exact)) <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
     def test_parts_against_kernel_rows(self, n):

@@ -369,11 +369,11 @@ class TestArcCriticalLimit:
         # (0, 1.05] and settles: each quadrupling of N moves it by at most
         # 2/sqrt(N), so the ratio is 1 + c(x)/sqrt(N) + O(1/N)
         cs = []
-        for n in (4**5, 4**6, 4**7, 4**8):
+        for n in (4**5, 4**6, 4**7, 4**8, 4**9):
             var = angular_count_var(n, ArcWindow.symmetric(x / math.sqrt(n)))
             cs.append(math.sqrt(n) * (var * math.pi**1.5 / (math.sqrt(n) * _g_arg(x)) - 1.0))
         assert all(0.0 < c <= 1.05 for c in cs), cs
-        for n, prev, cur in zip((4**6, 4**7, 4**8), cs, cs[1:]):
+        for n, prev, cur in zip((4**6, 4**7, 4**8, 4**9), cs, cs[1:]):
             assert math.sqrt(n) * abs(cur - prev) <= 2.0, cs
 
 
